@@ -2,8 +2,35 @@
 
 Two-phase update: every router's send decisions for cycle t are taken
 against the buffer/credit state at the start of t; dequeues and link
-traversals are applied afterwards, so per-cycle evaluation order never
+traversals are applied afterwards, so the order of the sends never
 matters. Identical configs yield byte-identical reports.
+
+The cost of a cycle follows the number of occupied routers, not the size
+of the network:
+
+* Active set. ``Simulation.active`` holds exactly the routers with a
+  queued flit (in an input VC or the local queue) or an input VC still
+  bound to a packet. A router joins on every push (arrival, injection,
+  radio re-injection) and leaves when a send or a discard leaves it empty
+  and unbound. A bound VC with an empty queue keeps its router in the set
+  because its packet may have been dropped upstream: the visit that
+  releases the binding changes what ``flow_control_accept`` upstream sees.
+  The send phase visits the set in ascending node id, the order of a full
+  scan, because looking at a slot may drop packets or discard flits
+  (``_peek``, ``_decision_for``) and those side effects are seen by the
+  routers visited after it.
+* Injection draw. Draw 0 of every node is computed for the whole network
+  at once by ``workload.draw0_vector``, whose wrapping uint64 arithmetic is
+  bit-identical to ``workload.stream_u64``; ``workload.inject`` is then
+  called, in ascending node order, only for the nodes whose draw is a hit,
+  and it alone picks the destination.
+* Idle cycles. When the active set, the arrivals in flight, the radio
+  queues, the radio channel and the reassembly buffers are all empty, the
+  deadlock check reads no flit. In the drain window such an empty network
+  cannot change until the next fault change, so the loop jumps straight to
+  that cycle (or to the end). An idle radio passes the token once per
+  cycle, so the jump advances it by the skipped cycle count mod the number
+  of hubs.
 """
 
 from __future__ import annotations
@@ -157,6 +184,7 @@ class Simulation:
             fabric.RouterState(u, self.topo.degree(u), self.vc_count, config.buffer_depth)
             for u in range(self.n)
         ]
+        self.active = set()  # routers holding a queued flit or a bound VC
         # input-port index at the downstream end of every (u, port) link
         self.down_port = [
             [self.topo.port_to(v, u) for v in self.topo.neighbors(u)]
@@ -211,6 +239,11 @@ class Simulation:
         self.route_cache = {}
 
         self.preloaded = sorted(config.preloaded)
+        spec = config.traffic
+        self.draw_keys = workload.draw0_keys(spec.seed, self.n)
+        self.hit_below = np.uint64(
+            workload.hit_threshold(spec.injection_rate / spec.packet_length)
+        )
 
     # ------------------------------------------------------------------
     # routing decisions
@@ -290,8 +323,6 @@ class Simulation:
             nxt = packet.route[idx + 1]
             if not self.view.has_link(node, nxt) or not self.view.has_node(nxt):
                 return None
-            if algo == "xy" and self.topo.kind == topo.TORUS:
-                pass  # torus xy is handled per-hop below
             return nxt, 0
         if algo == "xy":  # torus: per-hop for the dateline VC rule
             nxt, vc = routing.torus_xy_next(self.topo, node, dst, in_vc, came_from)
@@ -369,6 +400,12 @@ class Simulation:
                         f"at cycle {now}"
                     )
             now += 1
+            if now >= inject_until and self._network_idle():
+                # nothing can happen before the next fault change
+                skip_to = min([c for c in self.fault_changes if c >= now] + [total])
+                if self.wireless is not None:
+                    self.wireless.pass_token(skip_to - now)
+                now = skip_to
         self._check_conservation()
         return self._report(time.perf_counter() - start_wall)
 
@@ -388,7 +425,7 @@ class Simulation:
             up = self.topo.neighbors(node)[in_port]
             if (up, node) in links or node in nodes or up in nodes:
                 dead.add(f.packet)
-        for u in range(self.n):
+        for u in self.active:
             for (port, _vc), vcq in self.routers[u].inputs.items():
                 if not vcq.queue:
                     continue
@@ -440,8 +477,8 @@ class Simulation:
                 self._consume(node, flit, now)
                 progress = True
                 continue
-            vcq = self.routers[node].inputs[(in_port, flit.vc)]
-            vcq.push(flit, now)
+            self.routers[node].inputs[(in_port, flit.vc)].push(flit, now)
+            self.active.add(node)
             progress = True
         return progress
 
@@ -483,9 +520,13 @@ class Simulation:
             and self.injected_packets >= self.cfg.max_packets
         ):
             return False
+        draws = workload.draw0_vector(self.draw_keys, now)
+        hits = np.flatnonzero(draws < self.hit_below)
+        if not hits.size:
+            return False
         progress = False
         alive = self.view.has_node if (self.view.failed_nodes or self.view.failed_links) else None
-        for node in range(self.n):
+        for node in hits.tolist():
             if not self.view.has_node(node):
                 continue
             dst = workload.inject(spec, self.topo, node, now, alive)
@@ -529,6 +570,7 @@ class Simulation:
             self.wireless.enqueue(src, packet)
             return
         self.routers[src].local.push_packet(flits, now)
+        self.active.add(src)
 
     def _try_wireless(self, packet):
         w = self.cfg.wireless
@@ -579,39 +621,49 @@ class Simulation:
             for f in flits:
                 f.hop_count = packet.hops + 1  # the radio hop
             self.routers[hub].local.push_packet(flits, now)
+            self.active.add(hub)
             progress = True
         return progress
 
     def _send_phase(self, now):
         measuring = self.measure_start <= now < self.measure_end
-        sends = []  # (router, in_key, out_port, out_vc, next_node)
-        for u in range(self.n):
-            router = self.routers[u]
+        sends = []  # (router, holder, out_vc, next_node, out_port)
+        held = {}   # visited router -> slots still holding a flit or a binding
+        for u in sorted(self.active):
             if not self.view.has_node(u):
                 continue
-            wants = {}  # out_port -> list of in_keys in fixed order
-            for key in self._input_order(u):
-                flit = self._peek(router, key, now)
+            router = self.routers[u]
+            wants = {}  # out_port -> [(slot index, holder, out_vc, next_node)]
+            busy = 0
+            for i, (key, holder) in enumerate(router.slots):
+                if not holder.queue and holder.bound is None:
+                    continue  # empty slot
+                flit = self._peek(holder)
                 if flit is None:
+                    busy += holder.bound is not None
                     continue
-                d = self._decision_for(u, router, key, flit, now)
+                busy += 1
+                d = self._decision_for(u, key, holder, flit)
                 if d is None:
                     continue
                 nxt, out_vc = d
                 out_port = self.topo.port_to(u, nxt)
-                if not self._ready(router, key, flit, now):
+                if not self._ready(key, holder, flit, now):
                     continue
-                if not self._downstream_accepts(u, out_port, out_vc, flit):
+                if not self._downstream_accepts(u, nxt, out_port, out_vc, flit):
                     continue
-                wants.setdefault(out_port, []).append((key, out_vc, nxt))
+                wants.setdefault(out_port, []).append((i, holder, out_vc, nxt))
+            held[u] = busy
+            if not wants:
+                continue
             for out_port, candidates in sorted(wants.items()):
-                chosen = self._arbitrate(router, out_port, candidates, u)
-                if chosen is not None:
-                    sends.append((u, *chosen, out_port))
+                _, holder, out_vc, nxt = self._arbitrate(router, out_port, candidates)
+                sends.append((u, holder, out_vc, nxt, out_port))
         progress = False
-        for u, key, out_vc, nxt, out_port in sends:
-            router = self.routers[u]
-            flit = router.local.pop() if key == "local" else router.inputs[key].pop()
+        for u, holder, out_vc, nxt, out_port in sends:
+            flit = holder.pop()
+            if not holder.queue and holder.bound is None:
+                held[u] -= 1
             flit.vc = out_vc
             flit.hop_count += 1
             if flit.hop_count > self.livelock_bound:
@@ -627,40 +679,28 @@ class Simulation:
                 link = (u, nxt)
                 self.link_busy[link] = self.link_busy.get(link, 0) + 1
             progress = True
+        for u, busy in held.items():
+            if not busy:
+                self.active.discard(u)
         return progress
 
-    def _input_order(self, u):
-        order = getattr(self, "_input_order_cache", None)
-        if order is None:
-            order = {}
-            self._input_order_cache = order
-        cached = order.get(u)
-        if cached is None:
-            cached = [
-                (port, vc)
-                for port in range(self.topo.degree(u))
-                for vc in range(self.vc_count)
-            ] + ["local"]
-            order[u] = cached
-        return cached
-
-    def _peek(self, router, key, now):
-        q = router.local.queue if key == "local" else router.inputs[key].queue
+    def _peek(self, holder):
+        """Head-of-line flit of an input slot, or None once empty; discards
+        the leftovers of dropped packets on the way."""
+        q = holder.queue
         while q and q[0].packet.dropped:
-            flit = router.local.pop() if key == "local" else router.inputs[key].pop()
-            self._discard_flit(flit)
-        if key != "local" and not q:
-            vcq = router.inputs[key]
-            if vcq.bound is not None and vcq.bound.dropped:
-                # the bound packet died upstream and its tail will never
-                # arrive; release the channel or it blocks heads forever
-                vcq.bound = None
-                vcq.tail_arrived = None
-                vcq.decision = None
-        return q[0] if q else None
+            self._discard_flit(holder.pop())
+        if q:
+            return q[0]
+        if holder.bound is not None and holder.bound.dropped:
+            # the bound packet died upstream and its tail will never
+            # arrive; release the channel or it blocks heads forever
+            holder.bound = None
+            holder.tail_arrived = None
+            holder.decision = None
+        return None
 
-    def _decision_for(self, u, router, key, flit, now):
-        holder = router.local if key == "local" else router.inputs[key]
+    def _decision_for(self, u, key, holder, flit):
         cached = holder.decision
         if cached is not None and cached[0] == flit.packet.pid:
             nxt = cached[2][0]
@@ -685,13 +725,12 @@ class Simulation:
         holder.decision = (flit.packet.pid, self.epoch, decision)
         return decision
 
-    def _ready(self, router, key, flit, now):
+    def _ready(self, key, holder, flit, now):
         if key == "local":
             return now >= flit.arrival + self.pipeline
-        return fabric.flit_ready(self.policy, router.inputs[key], flit, now, self.pipeline)
+        return fabric.flit_ready(self.policy, holder, flit, now, self.pipeline)
 
-    def _downstream_accepts(self, u, out_port, out_vc, flit):
-        v = self.topo.neighbors(u)[out_port]
+    def _downstream_accepts(self, u, v, out_port, out_vc, flit):
         if not self.view.has_node(v) or not self.view.has_link(u, v):
             return False
         if v == flit.packet.dst:
@@ -701,25 +740,39 @@ class Simulation:
             self.policy, down, flit, flit.packet.length
         )
 
-    def _arbitrate(self, router, out_port, candidates, u):
-        """Round-robin over the fixed input ordering."""
-        order = self._input_order(u)
-        index = {key: i for i, key in enumerate(order)}
-        candidates = sorted(candidates, key=lambda c: index[c[0]])
-        ptr = router.rr[out_port]
-        chosen = min(candidates, key=lambda c: (index[c[0]] - ptr) % len(order))
-        router.rr[out_port] = (index[chosen[0]] + 1) % len(order)
-        router.link_busy[out_port] += 1
+    def _arbitrate(self, router, out_port, candidates):
+        """Round-robin over the router's fixed slot order; a candidate
+        starts with its slot index."""
+        n = len(router.slots)
+        chosen = candidates[0]
+        if len(candidates) > 1:
+            ptr = router.rr[out_port]
+            chosen = min(candidates, key=lambda c: (c[0] - ptr) % n)
+        router.rr[out_port] = (chosen[0] + 1) % n
         return chosen
 
     # -- accounting ----------------------------------------------------
 
+    def _network_idle(self):
+        """No flit anywhere: no router holds a flit or a binding, nothing
+        is on a link, and the radio has nothing queued, on air or half
+        reassembled."""
+        ws = self.wireless
+        return not self.active and not self.pending and (
+            ws is None or (
+                ws.current_tx is None
+                and not self.reassembly
+                and not any(ws.queues.values())
+            )
+        )
+
     def _in_network_flits(self):
         """Movable flits only: dropped packets' leftovers await lazy discard
-        and must not look like pending work to the deadlock detector."""
+        and must not look like pending work to the deadlock detector. Only
+        active routers can hold flits."""
         count = sum(1 for _, _, f in self.pending if not f.packet.dropped)
-        for r in self.routers:
-            for f in r.buffered_flits():
+        for u in self.active:
+            for f in self.routers[u].buffered_flits():
                 if not f.packet.dropped:
                     count += 1
         if self.wireless is not None:

@@ -28,8 +28,6 @@ WORMHOLE = "wormhole"
 
 SWITCHING_POLICIES = (SAF, VCT, WORMHOLE)
 
-LOCAL = -2  # input "port" for the node's own injection queue
-
 
 class Packet:
     __slots__ = (
@@ -180,6 +178,7 @@ class LocalQueue:
     """
 
     __slots__ = ("queue", "decision")
+    bound = None  # whole packets are queued at once, so never bound
 
     def __init__(self):
         self.queue = deque()
@@ -213,8 +212,10 @@ class RouterState:
             for vc in range(vc_count)
         }
         self.local = LocalQueue()
+        # (key, holder) in the fixed arbitration order: wired inputs by
+        # (port, vc), then the local queue; a slot's index is its rank
+        self.slots = [*self.inputs.items(), ("local", self.local)]
         self.rr = [0] * n_ports  # round-robin pointer per output port
-        self.link_busy = [0] * n_ports  # utilization counters (send events)
 
     def congestion(self):
         """Total wired buffered flits; feeds DyXY's occupancy signal."""
@@ -243,7 +244,6 @@ class WirelessHubState:
         self.queues = {h: deque() for h in self.hubs}
         self.busy_until = None   # first cycle the channel is free again
         self.current_tx = None   # (packet, dest_hub)
-        self.transmit_cycles = 0  # cumulative busy cycles (invariant checks)
 
     def nearest_hub(self, node, hop_dist):
         """Hub minimizing wired hop distance; ties to the lowest hub id."""
@@ -266,7 +266,6 @@ class WirelessHubState:
         delivered = []
         if self.busy_until is not None:
             if now < self.busy_until:
-                self.transmit_cycles += 1
                 return delivered
             delivered.append(self.current_tx)
             self.current_tx = None
@@ -278,10 +277,14 @@ class WirelessHubState:
             packet = q.popleft()
             self.current_tx = (packet, dest_hub_of(packet))
             self.busy_until = now + self.w_cycles
-            self.transmit_cycles += 1
         else:
             self.token = (self.token + 1) % len(self.hubs)
         return delivered
+
+    def pass_token(self, cycles):
+        """Stand in for ``cycles`` steps of an idle channel with empty
+        queues: each passes the token to the next hub."""
+        self.token = (self.token + cycles) % len(self.hubs)
 
 
 def wireless_admission(wired_distance, distance_threshold, hub_queue_len, queue_cap):

@@ -21,8 +21,6 @@ from .errors import (
     WrongTopologyKind,
 )
 
-EJECT = -1  # sentinel output "port" for delivery at the local node
-
 
 @dataclass(frozen=True)
 class RoutingDecision:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     ConfigError,
     InvertedInterval,
@@ -45,6 +47,43 @@ def stream_u64(seed, node, cycle, draw=0):
 
 def stream_float(seed, node, cycle, draw=0):
     return stream_u64(seed, node, cycle, draw) / float(1 << 64)
+
+
+def _mix_vector(x):
+    """``_mix`` over a uint64 array; numpy's uint64 arithmetic wraps mod
+    2**64 exactly like the masked Python version."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def draw0_keys(seed, node_count):
+    """Per-node part of draw 0: the first two mixes of ``stream_u64``
+    depend only on (seed, node)."""
+    h = _mix(seed ^ 0x9E3779B97F4A7C15)
+    return np.array([_mix(h ^ node) for node in range(node_count)], dtype=np.uint64)
+
+
+def draw0_vector(keys, cycle):
+    """``stream_u64(seed, node, cycle, 0)`` for every node at once, from
+    ``draw0_keys(seed, ...)``; bit-identical to the scalar stream."""
+    h = _mix_vector(keys ^ np.uint64((cycle * 0xD1B54A32D192ED03) & _M64))
+    return _mix_vector(h)  # draw 0 xors in 0 * 0x8CB92BA72F3D8DD7
+
+
+def hit_threshold(prob):
+    """Smallest u64 ``u`` with ``u / 2**64 >= prob`` in float arithmetic, so
+    that ``u < hit_threshold(prob)`` exactly when ``stream_float`` would
+    give a value below ``prob``. Found by bisection over the monotone float
+    conversion, so no rounding case is missed."""
+    lo, hi = 0, _M64  # _M64 / 2**64 rounds to 1.0 >= any prob in [0, 1]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid / float(1 << 64) >= prob:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 @dataclass(frozen=True)

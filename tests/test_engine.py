@@ -299,3 +299,103 @@ def test_greedy_saf_routing_deadlock_detected():
     cfg = loaded_config(algorithm="greedy", switching=fabric.SAF)
     with pytest.raises(DeadlockDetected):
         engine.run(cfg)
+
+
+# -- active router set and idle cycles ---------------------------------------
+
+def faulted_wireless_config(drain_cycles, packet_length=4, **kw):
+    """Greedy with fallback on a 6x6 mesh with three radio hubs and faults
+    that fail and heal, two of them inside the drain window."""
+    t = topo.mesh(6, 6)
+    return quiet_config(
+        t,
+        algorithm="greedy_fallback",
+        traffic=workload.TrafficSpec(
+            injection_rate=0.05, packet_length=packet_length, seed=3
+        ),
+        fault_schedule=workload.parse_fault_schedule(
+            "link 14 15 0 inf\nlink 7 8 100 300\nnode 20 150 260\n"
+            "link 2 3 700 900\nnode 33 1100 inf\n", t),
+        wireless=engine.WirelessConfig(
+            enabled=True, hubs=(7, 28, 22), distance_threshold=4,
+        ),
+        warmup_cycles=50,
+        measure_cycles=250,
+        drain_cycles=drain_cycles,
+        **kw,
+    )
+
+
+def occupied_routers(sim):
+    """Full walk: routers with a queued flit or an input VC bound to a packet."""
+    return {
+        u for u, r in enumerate(sim.routers)
+        if r.local.queue
+        or any(vc.queue or vc.bound is not None for vc in r.inputs.values())
+    }
+
+
+ACTIVE_SET_CASES = {
+    # long packets in shallow buffers: faults drop worms mid-transfer and
+    # leave VCs bound to dropped packets, on alive and on failed routers
+    "faulted_wireless_fallback": lambda: faulted_wireless_config(
+        drain_cycles=300, packet_length=8, buffer_depth=2,
+    ),
+    # two VCs interleave on a link, so a VC bound to a live worm empties
+    "saturated_torus_two_vcs": lambda: quiet_config(
+        topo.torus(4, 4),
+        traffic=workload.TrafficSpec(injection_rate=0.3, packet_length=4, seed=3),
+        warmup_cycles=50, measure_cycles=250, drain_cycles=300,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACTIVE_SET_CASES))
+def test_active_set_matches_a_full_walk_after_every_cycle(case):
+    sim = engine.Simulation(ACTIVE_SET_CASES[case]())
+    send_phase = sim._send_phase
+    seen = {"busy": 0, "bound_only": 0}
+
+    def checked_send_phase(now):
+        seen["bound_only"] += sum(
+            sim.view.has_node(u)
+            and not sim.routers[u].local.queue
+            and not any(vc.queue for vc in sim.routers[u].inputs.values())
+            for u in occupied_routers(sim)
+        )
+        progress = send_phase(now)
+        occupied = occupied_routers(sim)
+        assert sim.active == occupied, now
+        seen["busy"] += bool(occupied)
+        return progress
+
+    sim._send_phase = checked_send_phase
+    report = sim.run()
+    assert report.delivered > 0 and report.residual == 0
+    assert seen["busy"] > 100
+    assert seen["bound_only"] > 0  # alive routers held only by a bound VC
+
+
+def test_idle_drain_jumps_and_keeps_the_report():
+    """The drain empties early; the run jumps over its idle cycles, stopping
+    at the fault changes inside it. Report bytes and the final MAC token
+    were pinned before the jump existed, when every cycle was stepped."""
+    sim = engine.Simulation(faulted_wireless_config(drain_cycles=1000))
+    send_phase = sim._send_phase
+    stepped = []
+
+    def counted_send_phase(now):
+        stepped.append(now)
+        return send_phase(now)
+
+    sim._send_phase = counted_send_phase
+    report = sim.run()
+    assert report.serialize() == (
+        "delivered=126\ndropped=1\navg_latency=12.759615\n"
+        "p99_latency=27.940000\nthroughput=0.047556\nwireless_share=0.214286\n"
+        "livelock=0\ndeadlock=0\n"
+    )
+    assert report.residual == 0
+    assert sim.wireless.token == 1  # one pass per skipped idle cycle
+    assert len(stepped) < 1300 // 2
+    assert {700, 900, 1100} <= set(stepped)  # fault changes in the drain

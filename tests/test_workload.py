@@ -2,8 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nocsim import topology as topo, workload
@@ -37,6 +38,52 @@ def test_stream_float_in_unit_interval(seed, node, cycle):
 def test_stream_float_roughly_uniform():
     xs = [workload.stream_float(1, n, c) for n in range(20) for c in range(200)]
     assert abs(sum(xs) / len(xs) - 0.5) < 0.02
+
+
+MESH16 = topo.mesh(16, 16)
+U64_MAX = 2**64 - 1
+
+
+@given(
+    st.integers(0, U64_MAX),
+    st.integers(0, 10**7),
+    st.floats(0.0, 1.0),
+    st.integers(1, 8),
+)
+@example(seed=U64_MAX, cycle=10**7, rate=1.0, packet_length=1)
+@example(seed=0, cycle=0, rate=0.05, packet_length=4)
+@settings(max_examples=60, deadline=None)
+def test_vector_draw_equals_the_scalar_stream(seed, cycle, rate, packet_length):
+    nodes = range(MESH16.node_count)
+    draws = workload.draw0_vector(workload.draw0_keys(seed, len(nodes)), cycle)
+    assert draws.dtype == np.uint64
+    assert [int(u) for u in draws] == [
+        workload.stream_u64(seed, node, cycle, 0) for node in nodes
+    ]
+    prob = rate / packet_length
+    hits = draws < np.uint64(workload.hit_threshold(prob))
+    assert hits.tolist() == [
+        workload.stream_float(seed, node, cycle, 0) < prob for node in nodes
+    ]
+
+
+@given(
+    st.one_of(st.sampled_from([0.0, 0.05 / 4, 0.3 / 4, 1.0]), st.floats(0.0, 1.0)),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_hit_threshold_is_exact_near_the_edges(prob, data):
+    """u values a few float ulps around the threshold and just below 2**64,
+    where u / 2**64 rounds up to 1.0; ``stream_float`` is u / 2**64."""
+    k = workload.hit_threshold(prob)
+    us = [max(0, k - 1), k, min(U64_MAX, k + 1), U64_MAX - 1024, U64_MAX]
+    edge = st.one_of(
+        st.integers(max(0, k - 5000), min(U64_MAX, k + 5000)),
+        st.integers(U64_MAX - 5000, U64_MAX),
+    )
+    us += data.draw(st.lists(edge, min_size=1, max_size=64))
+    hits = np.array(us, dtype=np.uint64) < np.uint64(k)
+    assert hits.tolist() == [u / float(1 << 64) < prob for u in us]
 
 
 # -- traffic spec validation -------------------------------------------------

@@ -24,6 +24,18 @@ of the network:
   bit-identical to ``workload.stream_u64``; ``workload.inject`` is then
   called, in ascending node order, only for the nodes whose draw is a hit,
   and it alone picks the destination.
+* Per-flit work. Each router's slots are tabulated once in arbitration
+  order with their upstream node and input VC, and every (node, out_port,
+  out_vc) with the input VC at its far end. A cached routing decision
+  carries that VC, and a send appends (upstream, node, input VC, flit) to
+  ``pending``, so an arrival is pushed without a lookup. Neither a send nor
+  an arrival tests alive-ness, and no decision changes for it: a decision
+  is used only in the fault epoch it was made or rechecked in, over that
+  epoch's view, so its link is up and both ends are alive (a failed node
+  takes its links down); and a fault change, applied before the arrivals
+  of its cycle, drops every packet with a flit on a link or into a node
+  that fails. Only the slots of a failed router itself are skipped, a test
+  made only while some node has failed.
 * Idle cycles. When the active set, the arrivals in flight, the radio
   queues, the radio channel and the reassembly buffers are all empty, the
   deadlock check reads no flit. In the drain window such an empty network
@@ -174,9 +186,15 @@ class Simulation:
         self.pipeline = config.pipeline
         self.vc_count = config.resolved_vc_count()
 
-        dists = [self.topo.bfs_distances(u) for u in range(self.n)]
-        self.dist = dists
-        self.diameter = max(max(d) for d in dists) if self.n > 1 else 0
+        # one BFS per node gives the diameter; only wireless admission and
+        # hub choice read the rows afterwards
+        rows = []
+        self.diameter = 0
+        for u in range(self.n):
+            row = self.topo.bfs_distances(u)
+            self.diameter = max(self.diameter, max(row))
+            if config.wireless.enabled:
+                rows.append(row)
         self.livelock_bound = max(4 * self.diameter, 4)
         self.deadlock_window = max(10 * self.diameter, 100)
 
@@ -185,9 +203,23 @@ class Simulation:
             for u in range(self.n)
         ]
         self.active = set()  # routers holding a queued flit or a bound VC
-        # input-port index at the downstream end of every (u, port) link
-        self.down_port = [
-            [self.topo.port_to(v, u) for v in self.topo.neighbors(u)]
+        # per router, its slots in arbitration order as (index, holder,
+        # upstream node, input VC); the local queue has neither
+        self.slot_table = [
+            [
+                (i, holder, None, None) if key == "local"
+                else (i, holder, self.topo.neighbors(u)[key[0]], key[1])
+                for i, (key, holder) in enumerate(router.slots)
+            ]
+            for u, router in enumerate(self.routers)
+        ]
+        # input VC at the downstream end of every (u, out_port, out_vc)
+        self.down_vc = [
+            [
+                [self.routers[v].inputs[(self.topo.port_to(v, u), vc)]
+                 for vc in range(self.vc_count)]
+                for v in self.topo.neighbors(u)
+            ]
             for u in range(self.n)
         ]
 
@@ -214,7 +246,8 @@ class Simulation:
         if config.wireless.enabled:
             w = config.wireless
             self.wireless = fabric.WirelessHubState(w.hubs, w.w_cycles, w.queue_cap)
-            self.hub_dist = {h: dists[h] for h in w.hubs}
+            self.dist = rows
+            self.hub_dist = {h: rows[h] for h in w.hubs}
             self.reassembly = {}  # pid -> [flits seen, max hop_count]
             # admitted-but-untransmitted packets per entry hub; admission
             # reserves the slot here so stale queue state cannot overshoot
@@ -233,7 +266,7 @@ class Simulation:
         self.wireless_delivered = 0
         self.livelock_violations = 0
         self.link_busy = {}  # (u, v) -> busy cycles during measurement
-        self.pending = []    # (node, in_port, flit) arriving next cycle
+        self.pending = []    # (upstream, node, input VC, flit) arriving next cycle
         self.eject_progress = {}  # packet -> flits consumed before its tail
         self.last_progress = 0
         self.route_cache = {}
@@ -241,9 +274,10 @@ class Simulation:
         self.preloaded = sorted(config.preloaded)
         spec = config.traffic
         self.draw_keys = workload.draw0_keys(spec.seed, self.n)
-        self.hit_below = np.uint64(
-            workload.hit_threshold(spec.injection_rate / spec.packet_length)
-        )
+        # inclusive, as 2**64 is no uint64; -1 (no hit) only at rate 0,
+        # where _inject draws nothing
+        hit_max = workload.hit_threshold(spec.injection_rate / spec.packet_length)
+        self.hit_max = np.uint64(hit_max) if hit_max >= 0 else None
 
     # ------------------------------------------------------------------
     # routing decisions
@@ -421,8 +455,7 @@ class Simulation:
         for u in nodes:
             for f in list(self.routers[u].buffered_flits()):
                 dead.add(f.packet)
-        for node, in_port, f in self.pending:
-            up = self.topo.neighbors(node)[in_port]
+        for up, node, _, f in self.pending:
             if (up, node) in links or node in nodes or up in nodes:
                 dead.add(f.packet)
         for u in self.active:
@@ -461,26 +494,19 @@ class Simulation:
         if not self.pending:
             return False
         pending, self.pending = self.pending, []
-        progress = False
-        for node, in_port, flit in pending:
+        # a live packet's flit always lands on an alive node: _apply_faults
+        # drops every packet with a flit on a link or into a node that fails
+        for _, node, down, flit in pending:
             packet = flit.packet
             if packet.dropped:
                 self._discard_flit(flit)
-                progress = True
-                continue
-            if not self.view.has_node(node):
-                self._drop_packet(packet)
-                self._discard_flit(flit)
-                progress = True
                 continue
             if node == packet.dst:
                 self._consume(node, flit, now)
-                progress = True
                 continue
-            self.routers[node].inputs[(in_port, flit.vc)].push(flit, now)
+            down.push(flit, now)
             self.active.add(node)
-            progress = True
-        return progress
+        return True  # every arrival is consumed, buffered or discarded
 
     def _consume(self, node, flit, now):
         """Flit reached its current wired target (final dst or a hub)."""
@@ -521,7 +547,7 @@ class Simulation:
         ):
             return False
         draws = workload.draw0_vector(self.draw_keys, now)
-        hits = np.flatnonzero(draws < self.hit_below)
+        hits = np.flatnonzero(draws <= self.hit_max)
         if not hits.size:
             return False
         progress = False
@@ -626,45 +652,68 @@ class Simulation:
         return progress
 
     def _send_phase(self, now):
+        # looked up per call, not at import, so wrappers installed on the
+        # fabric module (the benchmark's tracer) see every call
+        ready = fabric.flit_ready
+        accept = fabric.flow_control_accept
+        policy, pipeline, epoch, view = self.policy, self.pipeline, self.epoch, self.view
+        node_failed = bool(view.failed_nodes)
         measuring = self.measure_start <= now < self.measure_end
-        sends = []  # (router, holder, out_vc, next_node, out_port)
+        sends = []  # (router, holder, next_node, downstream VC)
         held = {}   # visited router -> slots still holding a flit or a binding
         for u in sorted(self.active):
-            if not self.view.has_node(u):
+            if node_failed and not view.has_node(u):
                 continue
-            router = self.routers[u]
-            wants = {}  # out_port -> [(slot index, holder, out_vc, next_node)]
+            wants = {}  # out_port -> [(slot index, holder, next_node, downstream VC)]
             busy = 0
-            for i, (key, holder) in enumerate(router.slots):
-                if not holder.queue and holder.bound is None:
-                    continue  # empty slot
-                flit = self._peek(holder)
-                if flit is None:
-                    busy += holder.bound is not None
+            for i, holder, came_from, in_vc in self.slot_table[u]:
+                q = holder.queue
+                if not q:
+                    bound = holder.bound
+                    if bound is None:
+                        continue  # empty slot
+                    if bound.dropped:
+                        self._peek(holder)  # releases the dead worm's VC
+                    else:
+                        busy += 1  # the rest of a live worm is on its way
                     continue
+                flit = q[0]
+                if flit.packet.dropped:
+                    flit = self._peek(holder)
+                    if flit is None:
+                        busy += holder.bound is not None
+                        continue
                 busy += 1
-                d = self._decision_for(u, key, holder, flit)
-                if d is None:
+                packet = flit.packet
+                d = holder.decision
+                if d is None or d[1] != epoch or d[0] != packet.pid:
+                    d = self._decision_for(u, came_from, in_vc, holder, flit)
+                    if d is None:
+                        continue
+                _, _, nxt, out_port, down = d
+                if came_from is None:  # local queue
+                    if now < flit.arrival + pipeline:
+                        continue
+                elif not ready(policy, holder, flit, now, pipeline):
                     continue
-                nxt, out_vc = d
-                out_port = self.topo.port_to(u, nxt)
-                if not self._ready(key, holder, flit, now):
+                # ejection consumes on arrival
+                if nxt != packet.dst and not accept(policy, down, flit, packet.length):
                     continue
-                if not self._downstream_accepts(u, nxt, out_port, out_vc, flit):
-                    continue
-                wants.setdefault(out_port, []).append((i, holder, out_vc, nxt))
+                wants.setdefault(out_port, []).append((i, holder, nxt, down))
             held[u] = busy
             if not wants:
                 continue
+            router = self.routers[u]
             for out_port, candidates in sorted(wants.items()):
-                _, holder, out_vc, nxt = self._arbitrate(router, out_port, candidates)
-                sends.append((u, holder, out_vc, nxt, out_port))
-        progress = False
-        for u, holder, out_vc, nxt, out_port in sends:
+                chosen = candidates[0]
+                if len(candidates) > 1:
+                    chosen = self._arbitrate(router, out_port, candidates)
+                router.rr[out_port] = (chosen[0] + 1) % len(router.slots)
+                sends.append((u, *chosen[1:]))
+        for u, holder, nxt, down in sends:
             flit = holder.pop()
             if not holder.queue and holder.bound is None:
                 held[u] -= 1
-            flit.vc = out_vc
             flit.hop_count += 1
             if flit.hop_count > self.livelock_bound:
                 self.livelock_violations += 1
@@ -673,16 +722,14 @@ class Simulation:
                         f"flit of packet {flit.packet.pid} exceeded "
                         f"{self.livelock_bound} hops"
                     )
-            in_port = self.down_port[u][out_port]
-            self.pending.append((nxt, in_port, flit))
+            self.pending.append((u, nxt, down, flit))
             if measuring:
                 link = (u, nxt)
                 self.link_busy[link] = self.link_busy.get(link, 0) + 1
-            progress = True
         for u, busy in held.items():
             if not busy:
                 self.active.discard(u)
-        return progress
+        return bool(sends)
 
     def _peek(self, holder):
         """Head-of-line flit of an input slot, or None once empty; discards
@@ -700,56 +747,47 @@ class Simulation:
             holder.decision = None
         return None
 
-    def _decision_for(self, u, key, holder, flit):
+    def _decision_for(self, u, came_from, in_vc, holder, flit):
+        """Routing decision for the head-of-line flit when the slot's cached
+        one is missing, for another packet or from an older fault epoch.
+        Cached per slot as (pid, epoch, next_node, out_port, downstream
+        input VC); None when the flit cannot move now.
+
+        A decision is used only in the epoch it was made or rechecked in,
+        and both are done over that epoch's view, so its link is up and
+        both ends are alive for as long as it is used: the send needs no
+        alive-ness test of its own."""
+        packet = flit.packet
         cached = holder.decision
-        if cached is not None and cached[0] == flit.packet.pid:
-            nxt = cached[2][0]
-            if cached[1] == self.epoch or self.view.has_link(u, nxt):
-                return cached[2]
+        if cached is not None and cached[0] == packet.pid:
+            if self.view.has_link(u, cached[2]):
+                holder.decision = (packet.pid, self.epoch, *cached[2:])
+                return holder.decision
             # the committed next link died under the packet: drop it
-            self._drop_packet(flit.packet)
+            self._drop_packet(packet)
             return None
         if not flit.is_head:
             # body flits must follow the head; a lost cache means the head
             # was dropped and the queue will be purged via _peek
             return None
-        if key == "local":
-            came_from, in_vc = None, None
-        else:
-            came_from = self.topo.neighbors(u)[key[0]]
-            in_vc = key[1]
-        decision = self._decide(u, flit.packet, in_vc, came_from)
+        decision = self._decide(u, packet, in_vc, came_from)
         if decision is None:
-            self._drop_packet(flit.packet)
+            self._drop_packet(packet)
             return None
-        holder.decision = (flit.packet.pid, self.epoch, decision)
-        return decision
-
-    def _ready(self, key, holder, flit, now):
-        if key == "local":
-            return now >= flit.arrival + self.pipeline
-        return fabric.flit_ready(self.policy, holder, flit, now, self.pipeline)
-
-    def _downstream_accepts(self, u, v, out_port, out_vc, flit):
-        if not self.view.has_node(v) or not self.view.has_link(u, v):
-            return False
-        if v == flit.packet.dst:
-            return True  # ejection consumes on arrival
-        down = self.routers[v].inputs[(self.down_port[u][out_port], out_vc)]
-        return fabric.flow_control_accept(
-            self.policy, down, flit, flit.packet.length
+        nxt, out_vc = decision
+        out_port = self.topo.port_to(u, nxt)
+        holder.decision = (
+            packet.pid, self.epoch, nxt, out_port, self.down_vc[u][out_port][out_vc],
         )
+        return holder.decision
 
     def _arbitrate(self, router, out_port, candidates):
-        """Round-robin over the router's fixed slot order; a candidate
-        starts with its slot index."""
+        """Round-robin winner among candidates contending for one output
+        port, over the router's fixed slot order; a candidate starts with
+        its slot index."""
         n = len(router.slots)
-        chosen = candidates[0]
-        if len(candidates) > 1:
-            ptr = router.rr[out_port]
-            chosen = min(candidates, key=lambda c: (c[0] - ptr) % n)
-        router.rr[out_port] = (chosen[0] + 1) % n
-        return chosen
+        ptr = router.rr[out_port]
+        return min(candidates, key=lambda c: (c[0] - ptr) % n)
 
     # -- accounting ----------------------------------------------------
 
@@ -770,7 +808,7 @@ class Simulation:
         """Movable flits only: dropped packets' leftovers await lazy discard
         and must not look like pending work to the deadlock detector. Only
         active routers can hold flits."""
-        count = sum(1 for _, _, f in self.pending if not f.packet.dropped)
+        count = sum(1 for *_, f in self.pending if not f.packet.dropped)
         for u in self.active:
             for f in self.routers[u].buffered_flits():
                 if not f.packet.dropped:
@@ -794,7 +832,7 @@ class Simulation:
                     residual += 0 if f.packet.dropped else 1
             for f in r.local.queue:
                 residual += 0 if f.packet.dropped else 1
-        for _, _, f in self.pending:
+        for *_, f in self.pending:
             residual += 0 if f.packet.dropped else 1
         residual += sum(self.eject_progress.values())
         lazily_dropped = 0
@@ -802,7 +840,7 @@ class Simulation:
             for f in r.buffered_flits():
                 if f.packet.dropped:
                     lazily_dropped += 1
-        for _, _, f in self.pending:
+        for *_, f in self.pending:
             if f.packet.dropped:
                 lazily_dropped += 1
         if self.wireless is not None:

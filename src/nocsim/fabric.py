@@ -60,23 +60,16 @@ class Packet:
 
 
 class Flit:
-    __slots__ = ("packet", "kind", "seq", "hop_count", "arrival", "vc")
+    __slots__ = ("packet", "kind", "seq", "is_head", "is_tail", "hop_count", "arrival")
 
     def __init__(self, packet, kind, seq):
         self.packet = packet
         self.kind = kind
         self.seq = seq
+        self.is_head = kind in (HEAD, HEAD_TAIL)
+        self.is_tail = kind in (TAIL, HEAD_TAIL)
         self.hop_count = 0
         self.arrival = 0   # cycle this flit entered its current buffer
-        self.vc = 0
-
-    @property
-    def is_head(self):
-        return self.kind in (HEAD, HEAD_TAIL)
-
-    @property
-    def is_tail(self):
-        return self.kind in (TAIL, HEAD_TAIL)
 
 
 def make_flits(packet):
@@ -94,7 +87,8 @@ class InputVC:
 
     Bound to a single packet from head acceptance until its tail departs;
     ``decision`` caches the routing choice made for the bound packet's head
-    so body flits follow the same output.
+    so body flits follow the same output (the engine's
+    ``Simulation._decision_for`` documents its layout).
     """
 
     __slots__ = ("depth", "queue", "bound", "tail_arrived", "decision")
@@ -104,7 +98,7 @@ class InputVC:
         self.queue = deque()
         self.bound = None         # packet currently owning this VC
         self.tail_arrived = None  # cycle the bound packet's tail arrived
-        self.decision = None      # (out_port, out_vc, next_node) for bound packet
+        self.decision = None      # routing choice cached for the bound packet
 
     @property
     def occupancy(self):
@@ -182,7 +176,7 @@ class LocalQueue:
 
     def __init__(self):
         self.queue = deque()
-        self.decision = None  # (pid, out_port, out_vc, next_node)
+        self.decision = None  # routing choice cached for the head-of-line packet
 
     def push_packet(self, flits, cycle):
         for f in flits:

@@ -66,20 +66,23 @@ def _axis_distance(cur, dst, size, wrap):
 
 
 def route_xy(topology, src, dst):
-    """X hops first, then Y; wrap-aware minimal on tori."""
+    """X hops first, then Y; wrap-aware minimal on tori. A step never
+    changes which way round is shorter, so each axis is stepped one way."""
     if topology.kind not in (topo.MESH, topo.TORUS):
         raise WrongTopologyKind(f"route_xy needs mesh or torus, got {topology.kind}")
     w, h = topology.grid_shape()
     wrap = topology.kind == topo.TORUS
-    x, y = topology.node_xy(src)
-    dx, dy = topology.node_xy(dst)
+    x, y = src % w, src // w
+    dx, dy = dst % w, dst // w
     route = [src]
+    step = _axis_steps(x, dx, w, wrap)
     while x != dx:
-        x = (x + _axis_steps(x, dx, w, wrap)) % w
-        route.append(topology.xy_node(x, y))
+        x = (x + step) % w
+        route.append(y * w + x)
+    step = _axis_steps(y, dy, h, wrap)
     while y != dy:
-        y = (y + _axis_steps(y, dy, h, wrap)) % h
-        route.append(topology.xy_node(x, y))
+        y = (y + step) % h
+        route.append(y * w + x)
     return tuple(route)
 
 
@@ -356,19 +359,17 @@ def torus_xy_next(topology, node, dst, in_vc, came_from):
     Packets start each dimension on VC 0 and switch to VC 1 after crossing
     that ring's wrap link (the dateline). Returns (next_node, out_vc).
     """
-    r = route_xy(topology, node, dst)
-    nxt = r[1]
-    x, y = topology.node_xy(node)
-    nx_, ny_ = topology.node_xy(nxt)
+    nxt = route_xy(topology, node, dst)[1]
+    w, h = topology.grid_shape()
+    x, y = node % w, node // w
+    nx_, ny_ = nxt % w, nxt // w
     next_is_x = ny_ == y
     if came_from is None:
         vc = 0
     else:
-        _, py = topology.node_xy(came_from)
-        prev_was_x = py == y
+        prev_was_x = came_from // w == y
         # VC carries over within a dimension; switching X->Y restarts at 0
         vc = in_vc if prev_was_x == next_is_x else 0
-    w, h = topology.grid_shape()
     if next_is_x:
         if (x == w - 1 and nx_ == 0) or (x == 0 and nx_ == w - 1):
             vc = 1

@@ -27,6 +27,8 @@ PERMUTATION = "permutation"
 PATTERNS = (UNIFORM_RANDOM, TRANSPOSE, HOTSPOT, PERMUTATION)
 
 _M64 = (1 << 64) - 1
+_TWO64 = float(1 << 64)
+_BELOW_ONE = 1.0 - 2.0**-53  # the largest float below 1.0
 
 
 def _mix(x):
@@ -45,8 +47,15 @@ def stream_u64(seed, node, cycle, draw=0):
     return _mix(h ^ (draw * 0x8CB92BA72F3D8DD7))
 
 
+def unit_float(u):
+    """u64 -> float in [0, 1). ``u / 2**64`` rounds up to exactly 1.0 for the
+    top 1024 values; they map to the largest float below 1.0 instead, so a
+    probability of 1.0 always hits and no test against a lower one changes."""
+    return min(u / _TWO64, _BELOW_ONE)
+
+
 def stream_float(seed, node, cycle, draw=0):
-    return stream_u64(seed, node, cycle, draw) / float(1 << 64)
+    return unit_float(stream_u64(seed, node, cycle, draw))
 
 
 def _mix_vector(x):
@@ -72,17 +81,19 @@ def draw0_vector(keys, cycle):
 
 
 def hit_threshold(prob):
-    """Smallest u64 ``u`` with ``u / 2**64 >= prob`` in float arithmetic, so
-    that ``u < hit_threshold(prob)`` exactly when ``stream_float`` would
-    give a value below ``prob``. Found by bisection over the monotone float
-    conversion, so no rounding case is missed."""
-    lo, hi = 0, _M64  # _M64 / 2**64 rounds to 1.0 >= any prob in [0, 1]
+    """Largest u64 ``u`` with ``unit_float(u) < prob``, or -1 when there is
+    none (prob <= 0): ``u <= hit_threshold(prob)`` exactly when
+    ``stream_float`` would give a value below ``prob``. Every u64 hits at
+    prob 1.0, and 2**64 itself would not fit a uint64, hence the inclusive
+    bound. Found by bisection over the monotone conversion, so no rounding
+    case is missed."""
+    lo, hi = -1, _M64
     while lo < hi:
-        mid = (lo + hi) // 2
-        if mid / float(1 << 64) >= prob:
-            hi = mid
+        mid = (lo + hi + 1) // 2
+        if unit_float(mid) < prob:
+            lo = mid
         else:
-            lo = mid + 1
+            hi = mid - 1
     return lo
 
 

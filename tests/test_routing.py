@@ -75,6 +75,66 @@ def test_route_xy_wrong_kind():
         routing.route_xy(topo.ring(6), 0, 3)
 
 
+def reference_route_xy(t, src, dst):
+    """XY route stepped through node_xy/xy_node, re-deciding the direction
+    on every hop; the coordinate-helper form the arithmetic replaced."""
+    w, h = t.grid_shape()
+    wrap = t.kind == topo.TORUS
+
+    def step(cur, to, size):
+        if cur == to:
+            return 0
+        if not wrap:
+            return 1 if to > cur else -1
+        return 1 if (to - cur) % size <= (cur - to) % size else -1
+
+    x, y = t.node_xy(src)
+    dx, dy = t.node_xy(dst)
+    route = [src]
+    while x != dx:
+        x = (x + step(x, dx, w)) % w
+        route.append(t.xy_node(x, y))
+    while y != dy:
+        y = (y + step(y, dy, h)) % h
+        route.append(t.xy_node(x, y))
+    return tuple(route)
+
+
+def reference_torus_xy_next(t, node, dst, in_vc, came_from):
+    nxt = reference_route_xy(t, node, dst)[1]
+    w, h = t.grid_shape()
+    x, y = t.node_xy(node)
+    nx_, ny_ = t.node_xy(nxt)
+    next_is_x = ny_ == y
+    vc = 0
+    if came_from is not None and (t.node_xy(came_from)[1] == y) == next_is_x:
+        vc = in_vc
+    if next_is_x:
+        if (x == w - 1 and nx_ == 0) or (x == 0 and nx_ == w - 1):
+            vc = 1
+    elif (y == h - 1 and ny_ == 0) or (y == 0 and ny_ == h - 1):
+        vc = 1
+    return nxt, vc
+
+
+def test_arithmetic_xy_equals_the_coordinate_helper_reference():
+    """Every (src, dst) pair; on tori every in_vc and upstream neighbour
+    too. Even rings (torus 4x4) have distance ties on both axes."""
+    for t in (topo.mesh(5, 3), topo.torus(5, 4), topo.torus(4, 4)):
+        for src in range(t.node_count):
+            for dst in range(t.node_count):
+                assert routing.route_xy(t, src, dst) == reference_route_xy(t, src, dst)
+                if t.kind != topo.TORUS or src == dst:
+                    continue
+                cases = [(None, None)] + [
+                    (in_vc, up) for up in t.neighbors(src) for in_vc in (0, 1)
+                ]
+                for in_vc, up in cases:
+                    assert routing.torus_xy_next(t, src, dst, in_vc, up) == (
+                        reference_torus_xy_next(t, src, dst, in_vc, up)
+                    ), (t, src, dst, in_vc, up)
+
+
 # -- DyXY --------------------------------------------------------------------
 
 def test_dyxy_arrived():

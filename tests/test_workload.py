@@ -35,6 +35,16 @@ def test_stream_float_in_unit_interval(seed, node, cycle):
     assert 0.0 <= x < 1.0
 
 
+def test_unit_float_stays_below_one_at_the_top():
+    """u / 2**64 rounds up to exactly 1.0 for the top 1024 u64 values."""
+    top = range(2**64 - 1024, 2**64)
+    assert all(u / float(1 << 64) == 1.0 for u in top)
+    assert all(workload.unit_float(u) == 1.0 - 2.0**-53 for u in top)
+    assert workload.unit_float(2**64 - 1) < 1.0
+    below = 2**64 - 1025
+    assert workload.unit_float(below) == below / float(1 << 64) < 1.0
+
+
 def test_stream_float_roughly_uniform():
     xs = [workload.stream_float(1, n, c) for n in range(20) for c in range(200)]
     assert abs(sum(xs) / len(xs) - 0.5) < 0.02
@@ -61,7 +71,8 @@ def test_vector_draw_equals_the_scalar_stream(seed, cycle, rate, packet_length):
         workload.stream_u64(seed, node, cycle, 0) for node in nodes
     ]
     prob = rate / packet_length
-    hits = draws < np.uint64(workload.hit_threshold(prob))
+    k = workload.hit_threshold(prob)
+    hits = draws <= np.uint64(k) if k >= 0 else np.zeros(draws.shape, dtype=bool)
     assert hits.tolist() == [
         workload.stream_float(seed, node, cycle, 0) < prob for node in nodes
     ]
@@ -74,16 +85,23 @@ def test_vector_draw_equals_the_scalar_stream(seed, cycle, rate, packet_length):
 @settings(max_examples=200, deadline=None)
 def test_hit_threshold_is_exact_near_the_edges(prob, data):
     """u values a few float ulps around the threshold and just below 2**64,
-    where u / 2**64 rounds up to 1.0; ``stream_float`` is u / 2**64."""
+    where u / 2**64 rounds up to 1.0. Below probability 1 a hit is exactly
+    u / 2**64 < prob; at probability 1 every u hits."""
     k = workload.hit_threshold(prob)
-    us = [max(0, k - 1), k, min(U64_MAX, k + 1), U64_MAX - 1024, U64_MAX]
+    us = [max(0, k - 1), max(0, k), min(U64_MAX, k + 1), U64_MAX - 1024, U64_MAX]
     edge = st.one_of(
         st.integers(max(0, k - 5000), min(U64_MAX, k + 5000)),
         st.integers(U64_MAX - 5000, U64_MAX),
     )
     us += data.draw(st.lists(edge, min_size=1, max_size=64))
-    hits = np.array(us, dtype=np.uint64) < np.uint64(k)
-    assert hits.tolist() == [u / float(1 << 64) < prob for u in us]
+    expected = [workload.unit_float(u) < prob for u in us]
+    assert [u <= k for u in us] == expected
+    if k >= 0:
+        assert (np.array(us, dtype=np.uint64) <= np.uint64(k)).tolist() == expected
+    if prob < 1.0:
+        assert expected == [u / float(1 << 64) < prob for u in us]
+    else:
+        assert k == U64_MAX and all(expected)
 
 
 # -- traffic spec validation -------------------------------------------------

@@ -19,11 +19,13 @@ of the network:
   scan, because looking at a slot may drop packets or discard flits
   (``_peek``, ``_decision_for``) and those side effects are seen by the
   routers visited after it.
-* Injection draw. Draw 0 of every node is computed for the whole network
-  at once by ``workload.draw0_vector``, whose wrapping uint64 arithmetic is
-  bit-identical to ``workload.stream_u64``; ``workload.inject`` is then
-  called, in ascending node order, only for the nodes whose draw is a hit,
-  and it alone picks the destination.
+* Injection draw. Draw 0 of every node is computed for a block of cycles
+  at once by ``workload.draw0_block`` (about 4096 node-cycles, at least
+  one cycle), whose wrapping uint64 arithmetic is bit-identical to
+  ``workload.stream_u64``. The hits of a block wait in ``Simulation.hits``
+  grouped by cycle, nodes in ascending order; ``workload.inject`` is
+  called, in that order, only for the hit nodes of the current cycle, and
+  it alone picks the destination.
 * Per-flit work. Each router's slots are tabulated once in arbitration
   order with their upstream node and input VC, and every (node, out_port,
   out_vc) with the input VC at its far end. A cached routing decision
@@ -38,16 +40,19 @@ of the network:
   made only while some node has failed.
 * Idle cycles. When the active set, the arrivals in flight, the radio
   queues, the radio channel and the reassembly buffers are all empty, the
-  deadlock check reads no flit. In the drain window such an empty network
-  cannot change until the next fault change, so the loop jumps straight to
-  that cycle (or to the end). An idle radio passes the token once per
-  cycle, so the jump advances it by the skipped cycle count mod the number
-  of hubs.
+  deadlock check reads no flit, and such an empty network cannot change
+  until the next fault change, preloaded packet or injection hit (hits
+  are found by drawing blocks ahead, up to the end of the injection
+  window). The loop jumps straight to the earliest of these, or to the
+  end; one rule covers the injection window and the drain. An idle radio
+  passes the token once per cycle, so the jump advances it by the skipped
+  cycle count mod the number of hubs.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -234,20 +239,25 @@ class Simulation:
             self.address_map = assign_hierarchical_addresses(self.topo, centers)
 
         self.schedule = config.fault_schedule
-        self.fault_changes = set(self.schedule.change_cycles())
+        # ascending cycles at which the failed sets change; faults already
+        # active at cycle 0 are applied at 0
+        changes = set(self.schedule.change_cycles())
+        if 0 not in changes and any(workload.faults_at(self.schedule, 0)):
+            changes.add(0)
+        self.fault_changes = sorted(c for c in changes if c >= 0)
         self.epoch = 0
         self.view = topo.TopologyView(self.topo)
-        if 0 not in self.fault_changes:
-            nodes, links = workload.faults_at(self.schedule, self.topo, 0)
-            if nodes or links:
-                self.fault_changes.add(0)
 
         self.wireless = None
         if config.wireless.enabled:
             w = config.wireless
             self.wireless = fabric.WirelessHubState(w.hubs, w.w_cycles, w.queue_cap)
             self.dist = rows
-            self.hub_dist = {h: rows[h] for h in w.hubs}
+            # static: hub choice reads wired distances over the base topology
+            hub_dist = {h: rows[h] for h in w.hubs}
+            self.nearest_hub = [
+                self.wireless.nearest_hub(u, hub_dist) for u in range(self.n)
+            ]
             self.reassembly = {}  # pid -> [flits seen, max hop_count]
             # admitted-but-untransmitted packets per entry hub; admission
             # reserves the slot here so stale queue state cannot overshoot
@@ -269,70 +279,56 @@ class Simulation:
         self.pending = []    # (upstream, node, input VC, flit) arriving next cycle
         self.eject_progress = {}  # packet -> flits consumed before its tail
         self.last_progress = 0
-        self.route_cache = {}
+        self.successor_tables = {}  # dst -> successor table, this fault epoch
 
         self.preloaded = sorted(config.preloaded)
         spec = config.traffic
         self.draw_keys = workload.draw0_keys(spec.seed, self.n)
         # inclusive, as 2**64 is no uint64; -1 (no hit) only at rate 0,
-        # where _inject draws nothing
+        # where nothing is drawn
         hit_max = workload.hit_threshold(spec.injection_rate / spec.packet_length)
         self.hit_max = np.uint64(hit_max) if hit_max >= 0 else None
+        # draw 0 is evaluated in blocks of about 4096 node-cycles; the hits
+        # drawn ahead wait here as (cycle, [nodes in ascending order])
+        self.block_cycles = max(1, 4096 // self.n)
+        self.drawn_until = 0
+        self.hits = deque()
 
     # ------------------------------------------------------------------
     # routing decisions
     # ------------------------------------------------------------------
 
     def _first_route(self, src, dst):
-        """Lexicographically-smallest shortest route over the alive view
-        (equals min(neighborhood_routes(...)))."""
-        key = (src, dst, self.epoch)
-        cached = self.route_cache.get(key)
-        if cached is not None:
-            return cached
-        to_dst = self._labels_to(dst)
-        if to_dst[src] < 0:
-            self.route_cache[key] = ()
+        """Lexicographically-smallest shortest route over the alive view,
+        () when dst is unreachable (equals min(neighborhood_routes(...)))."""
+        succ = self._successors(dst)
+        if succ[src] is None:
             return ()
         route = [src]
-        node = src
-        while node != dst:
-            node = min(
-                v for _, v in self.view.alive_neighbors(node)
-                if to_dst[v] == to_dst[node] - 1
-            )
-            route.append(node)
-        route = tuple(route)
-        self.route_cache[key] = route
-        return route
+        while src != dst:
+            src = succ[src]
+            route.append(src)
+        return tuple(route)
 
-    def _labels_to(self, dst):
-        """Hop distance of every node to dst over alive forward links."""
-        from collections import deque
-        dist = [-1] * self.n
-        if not self.view.has_node(dst):
-            return dist
-        preds = self._rev_adj()
-        dist[dst] = 0
-        q = deque([dst])
-        while q:
-            u = q.popleft()
-            for p in preds[u]:
-                if dist[p] < 0:
-                    dist[p] = dist[u] + 1
-                    q.append(p)
-        return dist
-
-    def _rev_adj(self):
-        rev = getattr(self, "_rev_adj_cache", None)
-        if rev is not None and rev[0] == self.epoch:
-            return rev[1]
-        preds = [[] for _ in range(self.n)]
-        for u in range(self.n):
-            for _, v in self.view.alive_neighbors(u):
-                preds[v].append(u)
-        self._rev_adj_cache = (self.epoch, preds)
-        return preds
+    def _successors(self, dst):
+        """Per node, its lowest-id alive neighbour one hop closer to dst:
+        dst itself at dst, None where dst is unreachable. Built from one BFS
+        and kept for the fault epoch. Distances from dst are distances to
+        dst: a topology has no one-way links, and a fault fails both
+        directions of a link."""
+        succ = self.successor_tables.get(dst)
+        if succ is None:
+            dist = self.view.bfs_distances(dst)
+            succ = [None] * self.n
+            for u, du in enumerate(dist):
+                if du > 0:
+                    succ[u] = min(
+                        v for _, v in self.view.alive_neighbors(u) if dist[v] == du - 1
+                    )
+                elif du == 0:
+                    succ[u] = u
+            self.successor_tables[dst] = succ
+        return succ
 
     def _injection_route(self, src, dst):
         """Source route for route-at-injection algorithms; () if unreachable."""
@@ -405,11 +401,13 @@ class Simulation:
         total = inject_until + cfg.drain_cycles
         self.measure_start = cfg.warmup_cycles
         self.measure_end = inject_until
-        preload_idx = 0
+        changes = self.fault_changes
+        change_idx = preload_idx = 0
         now = 0
         while now < total:
             progress = False
-            if now in self.fault_changes:
+            if change_idx < len(changes) and changes[change_idx] == now:
+                change_idx += 1
                 progress |= self._apply_faults(now)
             progress |= self._apply_arrivals(now)
             if now < inject_until:
@@ -421,7 +419,7 @@ class Simulation:
                     preload_idx += 1
                     self._inject_packet(src, dst, now)
                     progress = True
-                progress |= self._inject(now)
+                progress |= self._inject(now, inject_until)
             if self.wireless is not None:
                 progress |= self._wireless_cycle(now)
             progress |= self._send_phase(now)
@@ -434,9 +432,18 @@ class Simulation:
                         f"at cycle {now}"
                     )
             now += 1
-            if now >= inject_until and self._network_idle():
-                # nothing can happen before the next fault change
-                skip_to = min([c for c in self.fault_changes if c >= now] + [total])
+            if self._network_idle():
+                # nothing can happen before the next fault change, preloaded
+                # packet or injection hit
+                skip_to = total
+                if change_idx < len(changes):
+                    skip_to = min(skip_to, changes[change_idx])
+                if now < inject_until:
+                    if preload_idx < len(self.preloaded):
+                        skip_to = min(skip_to, max(now, self.preloaded[preload_idx][0]))
+                    hit = self._next_hit(now, inject_until)
+                    if hit is not None:
+                        skip_to = min(skip_to, hit)
                 if self.wireless is not None:
                     self.wireless.pass_token(skip_to - now)
                 now = skip_to
@@ -446,10 +453,10 @@ class Simulation:
     # -- phases --------------------------------------------------------
 
     def _apply_faults(self, now):
-        nodes, links = workload.faults_at(self.schedule, self.topo, now)
-        self.view = topo.TopologyView(self.topo, nodes, links)
+        self.view = topo.TopologyView(self.topo, *workload.faults_at(self.schedule, now))
+        nodes, links = self.view.failed_nodes, self.view.failed_links
         self.epoch += 1
-        self.route_cache.clear()
+        self.successor_tables.clear()
         dead = set()
         # packets occupying failed elements
         for u in nodes:
@@ -537,22 +544,42 @@ class Simulation:
         if packet.measured:
             self.measured_latencies.append(now - packet.inject_cycle)
 
-    def _inject(self, now):
-        spec = self.cfg.traffic
-        if spec.injection_rate <= 0.0:
-            return False
-        if (
+    def _injection_capped(self):
+        return (
             self.cfg.max_packets is not None
             and self.injected_packets >= self.cfg.max_packets
-        ):
+        )
+
+    def _next_hit(self, now, until):
+        """First cycle in [now, until) at which some node's draw 0 hits, or
+        None; draws blocks ahead as far as needed."""
+        if self.hit_max is None or self._injection_capped():
+            return None
+        hits = self.hits
+        while hits and hits[0][0] < now:
+            hits.popleft()
+        while not hits and self.drawn_until < until:
+            start = self.drawn_until
+            stop = min(until, start + self.block_cycles)
+            draws = workload.draw0_block(self.draw_keys, start, stop)
+            rows, nodes = np.nonzero(draws <= self.hit_max)  # row-major
+            for row, node in zip(rows.tolist(), nodes.tolist()):
+                cycle = start + row
+                if hits and hits[-1][0] == cycle:
+                    hits[-1][1].append(node)
+                else:
+                    hits.append((cycle, [node]))
+            self.drawn_until = stop
+        return hits[0][0] if hits else None
+
+    def _inject(self, now, until):
+        if self._next_hit(now, until) != now:
             return False
-        draws = workload.draw0_vector(self.draw_keys, now)
-        hits = np.flatnonzero(draws <= self.hit_max)
-        if not hits.size:
-            return False
+        _, nodes = self.hits.popleft()
+        spec = self.cfg.traffic
         progress = False
         alive = self.view.has_node if (self.view.failed_nodes or self.view.failed_links) else None
-        for node in hits.tolist():
+        for node in nodes:
             if not self.view.has_node(node):
                 continue
             dst = workload.inject(spec, self.topo, node, now, alive)
@@ -560,10 +587,7 @@ class Simulation:
                 continue
             self._inject_packet(node, dst, now)
             progress = True
-            if (
-                self.cfg.max_packets is not None
-                and self.injected_packets >= self.cfg.max_packets
-            ):
+            if self._injection_capped():
                 break
         return progress
 
@@ -601,8 +625,8 @@ class Simulation:
     def _try_wireless(self, packet):
         w = self.cfg.wireless
         src, dst = packet.src, packet.final_dst
-        hub_a = self.wireless.nearest_hub(src, self.hub_dist)
-        hub_b = self.wireless.nearest_hub(dst, self.hub_dist)
+        hub_a = self.nearest_hub[src]
+        hub_b = self.nearest_hub[dst]
         if hub_a == hub_b:
             return
         admitted = fabric.wireless_admission(
@@ -619,9 +643,7 @@ class Simulation:
     def _wireless_cycle(self, now):
         ws = self.wireless
         busy_before = ws.busy_until is not None
-        delivered = ws.step(
-            now, lambda p: ws.nearest_hub(p.final_dst, self.hub_dist)
-        )
+        delivered = ws.step(now, lambda p: self.nearest_hub[p.final_dst])
         progress = bool(delivered) or busy_before != (ws.busy_until is not None)
         for packet, hub in delivered:
             self.hub_outstanding[packet.dst] -= 1  # dst is still the entry hub

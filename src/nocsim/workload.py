@@ -73,10 +73,12 @@ def draw0_keys(seed, node_count):
     return np.array([_mix(h ^ node) for node in range(node_count)], dtype=np.uint64)
 
 
-def draw0_vector(keys, cycle):
-    """``stream_u64(seed, node, cycle, 0)`` for every node at once, from
-    ``draw0_keys(seed, ...)``; bit-identical to the scalar stream."""
-    h = _mix_vector(keys ^ np.uint64((cycle * 0xD1B54A32D192ED03) & _M64))
+def draw0_block(keys, start, stop):
+    """``stream_u64(seed, node, cycle, 0)`` for every cycle in
+    ``[start, stop)`` (rows) and every node (columns) in one evaluation,
+    from ``draw0_keys(seed, ...)``; bit-identical to the scalar stream."""
+    cycles = np.arange(start, stop, dtype=np.uint64) * np.uint64(0xD1B54A32D192ED03)
+    h = _mix_vector(keys[np.newaxis, :] ^ cycles[:, np.newaxis])
     return _mix_vector(h)  # draw 0 xors in 0 * 0x8CB92BA72F3D8DD7
 
 
@@ -197,10 +199,11 @@ class FaultSchedule:
         return sorted(cycles)
 
 
-def faults_at(schedule, topology, cycle):
+def faults_at(schedule, cycle):
     """(failed node set, failed directed link set) for the half-open fault
-    intervals [down, up); node failure implies all incident links. A link
-    event takes down both directions of the physical link."""
+    intervals [down, up). A link event takes down both directions of the
+    physical link; the links of a failed node are left to ``TopologyView``,
+    which expands every failed node into its incident links."""
     nodes = set()
     links = set()
     for ev in schedule.events:
@@ -210,10 +213,6 @@ def faults_at(schedule, topology, cycle):
             nodes.add(ev.element[1])
         else:
             _, u, v = ev.element
-            links.add((u, v))
-            links.add((v, u))
-    for u in nodes:
-        for v in topology.neighbors(u):
             links.add((u, v))
             links.add((v, u))
     return nodes, links

@@ -1,11 +1,14 @@
 """Simulation engine: latency model, determinism, faults, and reports."""
 
 import dataclasses
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nocsim import engine, fabric, topology as topo, workload
-from nocsim.errors import ConfigError
+from nocsim import engine, fabric, routing, topology as topo, workload
+from nocsim.errors import ConfigError, Unreachable
 
 
 def quiet_config(t, algorithm="xy", **kw):
@@ -399,3 +402,141 @@ def test_idle_drain_jumps_and_keeps_the_report():
     assert sim.wireless.token == 1  # one pass per skipped idle cycle
     assert len(stepped) < 1300 // 2
     assert {700, 900, 1100} <= set(stepped)  # fault changes in the drain
+
+
+def stepped_cycles(sim):
+    """Run ``sim``; returns its report and the cycles it stepped."""
+    send_phase = sim._send_phase
+    stepped = []
+
+    def counted_send_phase(now):
+        stepped.append(now)
+        return send_phase(now)
+
+    sim._send_phase = counted_send_phase
+    return sim.run(), stepped
+
+
+def test_injection_window_jumps_at_rate_zero():
+    """Rate 0: only preloaded packets, with faults that change inside the
+    injection window, one of them failing a preloaded packet's destination.
+    Report bytes and the final MAC token were pinned when every cycle of
+    the window was stepped."""
+    t = topo.mesh(6, 6)
+    preloaded = ((3, 0, 35), (40, 5, 30), (40, 12, 17), (450, 1, 34), (451, 21, 14),
+                 (460, 3, 20), (1200, 35, 0), (1650, 6, 29))
+    sim = engine.Simulation(quiet_config(
+        t,
+        algorithm="neighborhood",
+        traffic=workload.TrafficSpec(injection_rate=0.0, packet_length=4, seed=5),
+        preloaded=preloaded,
+        fault_schedule=workload.parse_fault_schedule(
+            "link 14 15 200 900\nnode 20 440 1300\nnode 8 1600 inf\n", t),
+        wireless=engine.WirelessConfig(enabled=True, hubs=(7, 28, 22), distance_threshold=4),
+        warmup_cycles=100, measure_cycles=1800, drain_cycles=300,
+    ))
+    report, stepped = stepped_cycles(sim)
+    assert report.serialize() == (
+        "delivered=7\ndropped=1\navg_latency=14.750000\n"
+        "p99_latency=17.910000\nthroughput=0.000247\nwireless_share=0.857143\n"
+        "livelock=0\ndeadlock=0\n"
+    )
+    assert report.injected == 8 and report.residual == 0
+    assert sim.wireless.token == 1
+    assert len(stepped) < 2200 // 10
+    assert {200, 440, 900, 1300, 1600} <= set(stepped)  # fault changes
+    assert {c for c, _, _ in preloaded} <= set(stepped)
+
+
+def test_injection_window_jumps_at_light_load():
+    """Mesh 8x8 at rate 0.002 with radio hubs and a link and a node fault
+    that both heal: the run steps only the cycles with a hit, a fault change
+    or a flit in the network. Pinned as above."""
+    t = topo.mesh(8, 8)
+    cfg = quiet_config(
+        t,
+        algorithm="greedy_fallback",
+        traffic=workload.TrafficSpec(injection_rate=0.002, packet_length=4, seed=11),
+        fault_schedule=workload.parse_fault_schedule(
+            "link 27 28 300 1700\nnode 36 2100 2900\n", t),
+        wireless=engine.WirelessConfig(
+            enabled=True, hubs=(18, 21, 42, 45), distance_threshold=6,
+        ),
+        warmup_cycles=400, measure_cycles=3200, drain_cycles=400,
+    )
+    sim = engine.Simulation(cfg)
+    report, stepped = stepped_cycles(sim)
+    assert report.serialize() == (
+        "delivered=111\ndropped=0\navg_latency=14.291667\n"
+        "p99_latency=27.100000\nthroughput=0.001855\nwireless_share=0.405405\n"
+        "livelock=0\ndeadlock=0\n"
+    )
+    assert report.injected == 111 and report.residual == 0
+    assert sim.wireless.token == 1
+    assert len(stepped) < 4000 // 2
+    assert {300, 1700, 2100, 2900} <= set(stepped)
+    # every cycle at which some node's draw 0 hits is stepped
+    prob = cfg.traffic.injection_rate / cfg.traffic.packet_length
+    hit_cycles = {
+        c for c in range(3600) for u in range(64)
+        if workload.stream_float(11, u, c) < prob
+    }
+    assert hit_cycles <= set(stepped)
+
+
+ROUTE_TABLE_TOPOLOGIES = (
+    topo.mesh(4, 4), topo.mesh(5, 3), topo.torus(4, 4), topo.torus(5, 4),
+    topo.circulant(12, (1, 5)),
+)
+
+
+@st.composite
+def faulted_views(draw):
+    """(topology, schedule, cycle): random node and link faults with
+    random intervals, looked at one cycle."""
+    t = draw(st.sampled_from(ROUTE_TABLE_TOPOLOGIES))
+    elements = st.one_of(
+        st.builds(lambda u: ("node", u), st.integers(0, t.node_count - 1)),
+        st.sampled_from([("link", u, v) for u, v in t.undirected_edges()]),
+    )
+    events = draw(st.lists(
+        st.tuples(elements, st.integers(0, 50), st.integers(1, 50)), max_size=6,
+    ))
+    schedule = workload.FaultSchedule(tuple(
+        workload.FaultEvent(e, down, down + length) for e, down, length in events
+    ))
+    return t, schedule, draw(st.integers(0, 100))
+
+
+def reverse_bfs(view, dst):
+    """Hop distance of every node to dst, walking alive links backwards."""
+    dist = [-1] * view.node_count
+    if not view.has_node(dst):
+        return dist
+    dist[dst] = 0
+    q = deque([dst])
+    while q:
+        v = q.popleft()
+        for p in range(view.node_count):
+            if dist[p] < 0 and view.has_node(p) and view.has_link(p, v):
+                dist[p] = dist[v] + 1
+                q.append(p)
+    return dist
+
+
+@given(faulted_views())
+@settings(max_examples=40, deadline=None)
+def test_route_tables_give_the_smallest_neighborhood_route(case):
+    t, schedule, cycle = case
+    sim = engine.Simulation(quiet_config(t, algorithm="neighborhood", fault_schedule=schedule))
+    sim._apply_faults(cycle)
+    view = sim.view
+    for dst in range(t.node_count):
+        # faults fail both directions, so distances from dst are distances to it
+        assert view.bfs_distances(dst) == reverse_bfs(view, dst)
+        for src in range(t.node_count):
+            try:
+                expected = min(routing.neighborhood_routes(view, src, dst))
+            except Unreachable:
+                expected = ()
+            assert sim._first_route(src, dst) == expected

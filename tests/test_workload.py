@@ -50,32 +50,48 @@ def test_stream_float_roughly_uniform():
     assert abs(sum(xs) / len(xs) - 0.5) < 0.02
 
 
-MESH16 = topo.mesh(16, 16)
 U64_MAX = 2**64 - 1
+
+
+@st.composite
+def draw_windows(draw):
+    """(node count, start, stop): windows around a multiple of the engine's
+    block length, ``max(1, 4096 // nodes)`` cycles, so that many cross a
+    block boundary, ending at cycle 10**7 at most."""
+    nodes = draw(st.sampled_from([1, 36, 64, 256]))
+    block = max(1, 4096 // nodes)
+    boundary = block * draw(st.integers(1, 10**7 // block))
+    start = boundary - draw(st.integers(0, min(block, boundary)))
+    stop = min(10**7 + 1, start + draw(st.integers(1, 2 * block)))
+    return nodes, start, stop
 
 
 @given(
     st.integers(0, U64_MAX),
-    st.integers(0, 10**7),
+    draw_windows(),
     st.floats(0.0, 1.0),
     st.integers(1, 8),
 )
-@example(seed=U64_MAX, cycle=10**7, rate=1.0, packet_length=1)
-@example(seed=0, cycle=0, rate=0.05, packet_length=4)
-@settings(max_examples=60, deadline=None)
-def test_vector_draw_equals_the_scalar_stream(seed, cycle, rate, packet_length):
-    nodes = range(MESH16.node_count)
-    draws = workload.draw0_vector(workload.draw0_keys(seed, len(nodes)), cycle)
-    assert draws.dtype == np.uint64
-    assert [int(u) for u in draws] == [
-        workload.stream_u64(seed, node, cycle, 0) for node in nodes
+@example(seed=U64_MAX, window=(256, 10**7 - 20, 10**7 + 1), rate=1.0, packet_length=1)
+@example(seed=0, window=(64, 60, 70), rate=0.05, packet_length=4)
+@settings(max_examples=40, deadline=None)
+def test_block_draw_equals_the_scalar_stream(seed, window, rate, packet_length):
+    nodes, start, stop = window
+    draws = workload.draw0_block(workload.draw0_keys(seed, nodes), start, stop)
+    assert draws.dtype == np.uint64 and draws.shape == (stop - start, nodes)
+    assert [[int(u) for u in row] for row in draws] == [
+        [workload.stream_u64(seed, node, cycle, 0) for node in range(nodes)]
+        for cycle in range(start, stop)
     ]
     prob = rate / packet_length
     k = workload.hit_threshold(prob)
     hits = draws <= np.uint64(k) if k >= 0 else np.zeros(draws.shape, dtype=bool)
     assert hits.tolist() == [
-        workload.stream_float(seed, node, cycle, 0) < prob for node in nodes
+        [workload.stream_float(seed, node, cycle, 0) < prob for node in range(nodes)]
+        for cycle in range(start, stop)
     ]
+    if prob == 1.0:
+        assert hits.all()
 
 
 @given(
@@ -219,12 +235,14 @@ def test_inject_order_independent_of_evaluation():
 def test_fault_intervals_half_open():
     t = topo.mesh(3, 3)
     sched = workload.FaultSchedule((workload.FaultEvent(("node", 4), 10, 20),))
-    assert workload.faults_at(sched, t, 9) == (set(), set())
-    nodes, links = workload.faults_at(sched, t, 10)
-    assert nodes == {4}
-    assert (4, 1) in links and (1, 4) in links
-    assert workload.faults_at(sched, t, 19)[0] == {4}
-    assert workload.faults_at(sched, t, 20) == (set(), set())
+    assert workload.faults_at(sched, 9) == (set(), set())
+    nodes, links = workload.faults_at(sched, 10)
+    assert nodes == {4} and links == set()
+    # the view is the one place a failed node takes its links down
+    failed_links = topo.TopologyView(t, nodes, links).failed_links
+    assert (4, 1) in failed_links and (1, 4) in failed_links
+    assert workload.faults_at(sched, 19)[0] == {4}
+    assert workload.faults_at(sched, 20) == (set(), set())
 
 
 def test_link_event_fails_both_directions():
@@ -232,7 +250,7 @@ def test_link_event_fails_both_directions():
     sched = workload.FaultSchedule(
         (workload.FaultEvent(("link", 0, 1), 0, workload.INFINITY),)
     )
-    _, links = workload.faults_at(sched, t, 0)
+    _, links = workload.faults_at(sched, 0)
     assert links == {(0, 1), (1, 0)}
 
 

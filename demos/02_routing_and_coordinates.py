@@ -25,7 +25,7 @@ def main():
         print(f"  {p}")
 
     # Knock out the middle of column x=2 to build a concave wall.
-    view = topo.alive_view(t, failed_nodes=(7, 12, 17))
+    view = topo.TopologyView(t, failed_nodes=(7, 12, 17))
     src, dst = t.xy_node(1, 2), t.xy_node(3, 2)
     walk = [src]
     node = src

@@ -18,7 +18,7 @@ def connected_failed_links(t, count, seed):
     for u, v in rng.sample(t.undirected_edges(), 4 * count):
         trial = failed + [(u, v)]
         both = trial + [(b, a) for a, b in trial]
-        if topo.alive_view(t, (), both).is_connected():
+        if topo.TopologyView(t, (), both).is_connected():
             failed = trial
         if len(failed) == count:
             break

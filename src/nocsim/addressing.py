@@ -17,6 +17,7 @@ from .errors import (
     EmptyCenters,
     KTooLarge,
 )
+from .topology import TopologyView
 
 
 @dataclass(frozen=True)
@@ -117,30 +118,26 @@ def coordinate_distance(coord_u, coord_v, metric="euclidean"):
 
 
 def assign_hierarchical_addresses(topology, centers):
-    """One BFS shortest-path tree per center; parents tie-break to the
-    lowest neighbor id, so the map is deterministic."""
+    """One BFS shortest-path tree per center; a node's parent is its
+    lowest-id neighbour one hop closer to the center
+    (``TopologyView.shortest_successors``), so the map is deterministic."""
     centers = tuple(centers)
     if not centers:
         raise EmptyCenters("need at least one center")
     if len(set(centers)) != len(centers):
         raise DuplicateAnchor(f"centers {centers} contain duplicates")
-    n = topology.node_count
+    view = TopologyView(topology)
     trees = []
     for c in centers:
-        dist = topology.bfs_distances(c)
+        dist, parent = view.shortest_successors(c)
         if -1 in dist:
             raise Disconnected(f"node {dist.index(-1)} unreachable from center {c}")
-        tree = []
-        for node in range(n):
-            if node == c:
-                tree.append((None, None, 0))
-                continue
-            parent = min(
-                v for v in topology.neighbors(node) if dist[v] == dist[node] - 1
-            )
-            tree.append((parent, topology.port_to(node, parent), dist[node]))
-        trees.append(tree)
+        parent[c] = None
+        trees.append([
+            (p, None if p is None else topology.port_to(node, p), dist[node])
+            for node, p in enumerate(parent)
+        ])
     entries = tuple(
-        tuple(trees[i][node] for i in range(len(centers))) for node in range(n)
+        tuple(tree[node] for tree in trees) for node in range(topology.node_count)
     )
     return AddressMap(centers, entries)

@@ -204,7 +204,7 @@ class Simulation:
         self.deadlock_window = max(10 * self.diameter, 100)
 
         self.routers = [
-            fabric.RouterState(u, self.topo.degree(u), self.vc_count, config.buffer_depth)
+            fabric.RouterState(self.topo.degree(u), self.vc_count, config.buffer_depth)
             for u in range(self.n)
         ]
         self.active = set()  # routers holding a queued flit or a bound VC
@@ -251,7 +251,7 @@ class Simulation:
         self.wireless = None
         if config.wireless.enabled:
             w = config.wireless
-            self.wireless = fabric.WirelessHubState(w.hubs, w.w_cycles, w.queue_cap)
+            self.wireless = fabric.WirelessHubState(w.hubs, w.w_cycles)
             self.dist = rows
             # static: hub choice reads wired distances over the base topology
             hub_dist = {h: rows[h] for h in w.hubs}
@@ -279,7 +279,8 @@ class Simulation:
         self.pending = []    # (upstream, node, input VC, flit) arriving next cycle
         self.eject_progress = {}  # packet -> flits consumed before its tail
         self.last_progress = 0
-        self.successor_tables = {}  # dst -> successor table, this fault epoch
+        # dst -> view.shortest_successors(dst) table, for this fault epoch
+        self.successor_tables = {}
 
         self.preloaded = sorted(config.preloaded)
         spec = config.traffic
@@ -301,34 +302,10 @@ class Simulation:
     def _first_route(self, src, dst):
         """Lexicographically-smallest shortest route over the alive view,
         () when dst is unreachable (equals min(neighborhood_routes(...)))."""
-        succ = self._successors(dst)
-        if succ[src] is None:
-            return ()
-        route = [src]
-        while src != dst:
-            src = succ[src]
-            route.append(src)
-        return tuple(route)
-
-    def _successors(self, dst):
-        """Per node, its lowest-id alive neighbour one hop closer to dst:
-        dst itself at dst, None where dst is unreachable. Built from one BFS
-        and kept for the fault epoch. Distances from dst are distances to
-        dst: a topology has no one-way links, and a fault fails both
-        directions of a link."""
         succ = self.successor_tables.get(dst)
         if succ is None:
-            dist = self.view.bfs_distances(dst)
-            succ = [None] * self.n
-            for u, du in enumerate(dist):
-                if du > 0:
-                    succ[u] = min(
-                        v for _, v in self.view.alive_neighbors(u) if dist[v] == du - 1
-                    )
-                elif du == 0:
-                    succ[u] = u
-            self.successor_tables[dst] = succ
-        return succ
+            succ = self.successor_tables[dst] = self.view.shortest_successors(dst)[1]
+        return topo.successor_route(succ, src)
 
     def _injection_route(self, src, dst):
         """Source route for route-at-injection algorithms; () if unreachable."""
@@ -425,7 +402,7 @@ class Simulation:
             progress |= self._send_phase(now)
             if progress:
                 self.last_progress = now
-            elif self._in_network_flits() > 0:
+            elif self._flits_in_network(self.routers[u] for u in self.active)[0]:
                 if now - self.last_progress >= self.deadlock_window:
                     raise DeadlockDetected(
                         f"no flit movement for {now - self.last_progress} cycles "
@@ -826,53 +803,38 @@ class Simulation:
             )
         )
 
-    def _in_network_flits(self):
-        """Movable flits only: dropped packets' leftovers await lazy discard
-        and must not look like pending work to the deadlock detector. Only
-        active routers can hold flits."""
-        count = sum(1 for *_, f in self.pending if not f.packet.dropped)
-        for u in self.active:
-            for f in self.routers[u].buffered_flits():
-                if not f.packet.dropped:
-                    count += 1
-        if self.wireless is not None:
-            for q in self.wireless.queues.values():
-                for p in q:
-                    if not p.dropped:
-                        count += p.length
-            if self.wireless.current_tx is not None:
-                count += self.wireless.current_tx[0].length
-            for entry in self.reassembly.values():
-                count += entry[0]
-        return count
-
-    def _check_conservation(self):
-        residual = 0
-        for r in self.routers:
-            for vcq in r.inputs.values():
-                for f in vcq.queue:
-                    residual += 0 if f.packet.dropped else 1
-            for f in r.local.queue:
-                residual += 0 if f.packet.dropped else 1
-        for *_, f in self.pending:
-            residual += 0 if f.packet.dropped else 1
-        residual += sum(self.eject_progress.values())
-        lazily_dropped = 0
-        for r in self.routers:
+    def _flits_in_network(self, routers):
+        """(movable, lazily dropped) flits buffered in ``routers``, on links
+        and with the radio. A dropped packet's flits still in a buffer or
+        on a link await a lazy discard: they are not work for the deadlock
+        detector, and the audit counts them apart. The radio holds whole
+        packets and the halves being reassembled, all movable."""
+        live = dropped = 0
+        for r in routers:
             for f in r.buffered_flits():
                 if f.packet.dropped:
-                    lazily_dropped += 1
+                    dropped += 1
+                else:
+                    live += 1
         for *_, f in self.pending:
             if f.packet.dropped:
-                lazily_dropped += 1
-        if self.wireless is not None:
-            for q in self.wireless.queues.values():
-                for p in q:
-                    residual += p.length
-            if self.wireless.current_tx is not None:
-                residual += self.wireless.current_tx[0].length
-            for entry in self.reassembly.values():
-                residual += entry[0]
+                dropped += 1
+            else:
+                live += 1
+        ws = self.wireless
+        if ws is not None:
+            live += sum(p.length for q in ws.queues.values() for p in q)
+            if ws.current_tx is not None:
+                live += ws.current_tx[0].length
+            live += sum(entry[0] for entry in self.reassembly.values())
+        return live, dropped
+
+    def _check_conservation(self):
+        """Every injected flit is delivered, dropped, awaiting a lazy
+        discard or still in the network. Walks every router, not only the
+        active set, so a flit left in a router outside it is still found."""
+        live, lazily_dropped = self._flits_in_network(self.routers)
+        residual = live + sum(self.eject_progress.values())
         accounted = (
             self.delivered_flits + self.dropped_flits + lazily_dropped + residual
         )

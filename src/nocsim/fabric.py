@@ -17,11 +17,6 @@ from collections import deque
 
 from .errors import ProtocolViolation
 
-HEAD = "head"
-BODY = "body"
-TAIL = "tail"
-HEAD_TAIL = "head_tail"
-
 SAF = "saf"
 VCT = "vct"
 WORMHOLE = "wormhole"
@@ -60,26 +55,20 @@ class Packet:
 
 
 class Flit:
-    __slots__ = ("packet", "kind", "seq", "is_head", "is_tail", "hop_count", "arrival")
+    __slots__ = ("packet", "is_head", "is_tail", "hop_count", "arrival")
 
-    def __init__(self, packet, kind, seq):
+    def __init__(self, packet, is_head, is_tail):
         self.packet = packet
-        self.kind = kind
-        self.seq = seq
-        self.is_head = kind in (HEAD, HEAD_TAIL)
-        self.is_tail = kind in (TAIL, HEAD_TAIL)
+        self.is_head = is_head
+        self.is_tail = is_tail
         self.hop_count = 0
         self.arrival = 0   # cycle this flit entered its current buffer
 
 
 def make_flits(packet):
-    """Head, bodies, tail (or a single head_tail for 1-flit packets)."""
-    if packet.length == 1:
-        return [Flit(packet, HEAD_TAIL, 0)]
-    flits = [Flit(packet, HEAD, 0)]
-    flits += [Flit(packet, BODY, i) for i in range(1, packet.length - 1)]
-    flits.append(Flit(packet, TAIL, packet.length - 1))
-    return flits
+    """Head, bodies, tail; a 1-flit packet's one flit is head and tail."""
+    last = packet.length - 1
+    return [Flit(packet, i == 0, i == last) for i in range(packet.length)]
 
 
 class InputVC:
@@ -197,9 +186,7 @@ class RouterState:
     the local queue is the node's open-loop injection source.
     """
 
-    def __init__(self, node, n_ports, vc_count, depth):
-        self.node = node
-        self.vc_count = vc_count
+    def __init__(self, n_ports, vc_count, depth):
         self.inputs = {
             (port, vc): InputVC(depth)
             for port in range(n_ports)
@@ -230,10 +217,9 @@ class WirelessHubState:
     token also advances after every completed transmission.
     """
 
-    def __init__(self, hubs, w_cycles, queue_cap):
+    def __init__(self, hubs, w_cycles):
         self.hubs = tuple(hubs)
         self.w_cycles = w_cycles
-        self.queue_cap = queue_cap
         self.token = 0  # index into hubs
         self.queues = {h: deque() for h in self.hubs}
         self.busy_until = None   # first cycle the channel is free again
@@ -245,14 +231,6 @@ class WirelessHubState:
 
     def enqueue(self, hub, packet):
         self.queues[hub].append(packet)
-
-    def queued_packets(self):
-        total = 0
-        for q in self.queues.values():
-            total += len(q)
-        if self.current_tx is not None:
-            total += 1
-        return total
 
     def step(self, now, dest_hub_of):
         """Advance the MAC one cycle; returns [(packet, dest_hub)] completed

@@ -1,16 +1,19 @@
 """Routing algorithms: dimension-order XY, congestion-adaptive DyXY,
-greedy advance over virtual coordinates, neighborhood route enumeration,
-hierarchical multi-center routing, and channel-dependency deadlock analysis.
+greedy advance over virtual coordinates with a shortest-route fallback,
+neighborhood route enumeration, hierarchical multi-center routing, and
+channel-dependency deadlock analysis.
 
 All functions are pure; routes are tuples of node ids (source..destination
 inclusive), loop-free and valid over the alive view they were built on.
+Shortest routes and hop distances come from ``topology`` (one BFS, one
+lowest-id shortest-successor rule). The channel dependency graph is a plain
+adjacency map and its acyclicity test is Kahn's algorithm, so the package
+needs no graph library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
 
 from . import topology as topo
 from .addressing import coordinate_distance
@@ -152,7 +155,7 @@ def next_hop_greedy(coordinate_map, current, dst, alive_neighbors, metric="eucli
 
 
 # --------------------------------------------------------------------------
-# Neighborhood method and its independent oracle
+# Neighborhood method
 # --------------------------------------------------------------------------
 
 DEFAULT_ROUTE_BUDGET = 4096
@@ -187,21 +190,6 @@ def neighborhood_routes(view, src, dst, budget=DEFAULT_ROUTE_BUDGET):
         for p in preds[node]:
             stack.append((p, (p,) + suffix))
     return routes
-
-
-def all_shortest_paths_oracle(view, src, dst):
-    """Independent enumeration from the source side (networkx DAG walk);
-    used to cross-check neighborhood_routes."""
-    view = _as_view(view)
-    g = nx.DiGraph()
-    g.add_nodes_from(view.alive_nodes())
-    for u in view.alive_nodes():
-        for _, v in view.alive_neighbors(u):
-            g.add_edge(u, v)
-    try:
-        return {tuple(p) for p in nx.all_shortest_paths(g, src, dst)}
-    except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-        raise Unreachable(f"{dst} not reachable from {src}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -246,11 +234,12 @@ def _erase_loops(route):
     return tuple(out)
 
 
-def greedy_with_fallback(coordinate_map, view, src, dst, metric="euclidean",
-                         budget=DEFAULT_ROUTE_BUDGET):
+def greedy_with_fallback(coordinate_map, view, src, dst, metric="euclidean"):
     """Greedy advance hop by hop; on a local minimum or coordinate aliasing,
-    finish with the first neighborhood-method route from the stuck node.
-    The result is always valid over the view and loop-free."""
+    finish with the lexicographically smallest shortest route from the
+    stuck node, walked along ``shortest_successors``. The result is always
+    valid over the view and loop-free; raises Unreachable when the stuck
+    node cannot reach dst."""
     view = _as_view(view)
     route = [src]
     current = src
@@ -266,7 +255,9 @@ def greedy_with_fallback(coordinate_map, view, src, dst, metric="euclidean",
             route.append(current)
             continue
         # stuck: splice in a shortest route from here
-        fallback = min(neighborhood_routes(view, current, dst, budget))
+        fallback = topo.successor_route(view.shortest_successors(dst)[1], current)
+        if not fallback:
+            raise Unreachable(f"{dst} not reachable from {current}")
         return _erase_loops(tuple(route[:-1]) + fallback)
     return tuple(route)
 
@@ -274,6 +265,37 @@ def greedy_with_fallback(coordinate_map, view, src, dst, metric="euclidean",
 # --------------------------------------------------------------------------
 # Channel dependency graph / deadlock analysis
 # --------------------------------------------------------------------------
+
+class ChannelDependencyGraph:
+    """Channels and the channels each may wait on, as an adjacency map.
+
+    ``nodes`` lists the channels in insertion order; ``waits_on[c]`` holds
+    the channels a packet in c may request next.
+    """
+
+    def __init__(self):
+        self.waits_on = {}
+
+    @property
+    def nodes(self):
+        return self.waits_on.keys()
+
+    def add_node(self, channel):
+        self.waits_on.setdefault(channel, set())
+
+    def add_edge(self, channel, next_channel):
+        self.add_node(next_channel)
+        self.waits_on.setdefault(channel, set()).add(next_channel)
+
+    def has_edge(self, channel, next_channel):
+        return next_channel in self.waits_on.get(channel, ())
+
+    def number_of_nodes(self):
+        return len(self.waits_on)
+
+    def number_of_edges(self):
+        return sum(len(nxt) for nxt in self.waits_on.values())
+
 
 def build_cdg(topology, next_hops_fn, vc_count=1):
     """Channel dependency graph over (src, dst, vc) virtual channels.
@@ -284,7 +306,7 @@ def build_cdg(topology, next_hops_fn, vc_count=1):
     injection. Dependencies are collected from the channel states actually
     reachable for each destination.
     """
-    g = nx.DiGraph()
+    g = ChannelDependencyGraph()
     for u in range(topology.node_count):
         for v in topology.neighbors(u):
             for vc in range(vc_count):
@@ -314,7 +336,23 @@ def build_cdg(topology, next_hops_fn, vc_count=1):
 
 
 def is_deadlock_free(cdg):
-    return nx.is_directed_acyclic_graph(cdg)
+    """Dally & Seitz: deadlock-free when the dependency graph is acyclic.
+    Kahn's algorithm: repeatedly remove a channel that no remaining channel
+    waits on; the graph is acyclic when every channel goes."""
+    waiters = dict.fromkeys(cdg.waits_on, 0)  # channel -> channels waiting on it
+    for nxt in cdg.waits_on.values():
+        for c in nxt:
+            waiters[c] += 1
+    free = [c for c, k in waiters.items() if k == 0]
+    removed = 0
+    while free:
+        c = free.pop()
+        removed += 1
+        for d in cdg.waits_on[c]:
+            waiters[d] -= 1
+            if waiters[d] == 0:
+                free.append(d)
+    return removed == len(waiters)
 
 
 # Canned routing relations for the CDG builder -----------------------------

@@ -22,6 +22,23 @@ SYNTHESIZED = "synthesized"
 CUSTOM = "custom"
 
 
+def bfs(adjacency, start):
+    """Hop distance from start to every node over ``adjacency``, one
+    sequence of neighbour ids per node; -1 where unreachable. The one
+    breadth-first search of the package."""
+    dist = [-1] * len(adjacency)
+    dist[start] = 0
+    q = deque([start])
+    while q:
+        u = q.popleft()
+        du = dist[u] + 1
+        for v in adjacency[u]:
+            if dist[v] < 0:
+                dist[v] = du
+                q.append(v)
+    return dist
+
+
 class Topology:
     """Immutable directed graph of routers plus generator metadata.
 
@@ -100,22 +117,10 @@ class Topology:
 
     def bfs_distances(self, start):
         """Hop distance from start to every node; -1 where unreachable."""
-        dist = [-1] * self.node_count
-        dist[start] = 0
-        q = deque([start])
-        while q:
-            u = q.popleft()
-            du = dist[u]
-            for v in self.adjacency[u]:
-                if dist[v] < 0:
-                    dist[v] = du + 1
-                    q.append(v)
-        return dist
+        return bfs(self.adjacency, start)
 
     def is_connected(self):
-        if self.node_count == 0:
-            return True
-        return -1 not in self.bfs_distances(0)
+        return self.node_count == 0 or -1 not in self.bfs_distances(0)
 
     # -- mesh/torus coordinate helpers ------------------------------------
 
@@ -281,6 +286,9 @@ class TopologyView:
 
     The base topology is never mutated. Failed links are directed (u, v)
     pairs; a failed node implies all its incident directed links.
+    ``alive_adjacency[u]`` lists the heads of u's alive outgoing links and
+    ``reverse_adjacency[v]`` the tails of v's alive incoming links, both in
+    the base topology's port order.
     """
 
     def __init__(self, base, failed_nodes=(), failed_links=()):
@@ -299,6 +307,17 @@ class TopologyView:
                 links.add((u, v))
                 links.add((v, u))
         self.failed_links = frozenset(links)
+        adjacency = base.adjacency
+        self.alive_adjacency = self.reverse_adjacency = adjacency
+        if links:
+            self.alive_adjacency = tuple(
+                tuple(v for v in nbrs if (u, v) not in links)
+                for u, nbrs in enumerate(adjacency)
+            )
+            self.reverse_adjacency = tuple(
+                tuple(u for u in nbrs if (u, v) not in links)
+                for v, nbrs in enumerate(adjacency)
+            )
 
     @property
     def node_count(self):
@@ -324,19 +343,29 @@ class TopologyView:
         ]
 
     def bfs_distances(self, start):
-        dist = [-1] * self.base.node_count
+        """Hop distance from start over alive links; all -1 from a failed
+        start."""
         if start in self.failed_nodes:
-            return dist
-        dist[start] = 0
-        q = deque([start])
-        while q:
-            u = q.popleft()
-            du = dist[u]
-            for _, v in self.alive_neighbors(u):
-                if dist[v] < 0:
-                    dist[v] = du + 1
-                    q.append(v)
-        return dist
+            return [-1] * self.node_count
+        return bfs(self.alive_adjacency, start)
+
+    def shortest_successors(self, root):
+        """(dist, succ): per node, its hop distance to root over alive links
+        and its lowest-id alive neighbour one hop closer to root; root is its
+        own successor, and a node that cannot reach root (every node, when
+        root has failed) has distance -1 and successor None. Walking
+        ``succ`` gives the lexicographically smallest shortest route."""
+        n = self.node_count
+        if root in self.failed_nodes:
+            return [-1] * n, [None] * n
+        dist = bfs(self.reverse_adjacency, root)
+        succ = [None] * n
+        for u, du in enumerate(dist):
+            if du > 0:
+                succ[u] = min(v for v in self.alive_adjacency[u] if dist[v] == du - 1)
+            elif du == 0:
+                succ[u] = u
+        return dist, succ
 
     def is_connected(self):
         alive = self.alive_nodes()
@@ -346,8 +375,16 @@ class TopologyView:
         return all(dist[u] >= 0 for u in alive)
 
 
-def alive_view(topology, failed_nodes=(), failed_links=()):
-    return TopologyView(topology, failed_nodes, failed_links)
+def successor_route(succ, src):
+    """Route from src to the root of a ``shortest_successors`` table; ()
+    when src cannot reach it."""
+    if succ[src] is None:
+        return ()
+    route = [src]
+    while succ[src] != src:
+        src = succ[src]
+        route.append(src)
+    return tuple(route)
 
 
 # --------------------------------------------------------------------------
@@ -398,54 +435,29 @@ def _moore_bound(max_degree, max_diameter):
     return total
 
 
-def _edges_feasible(n, edges, max_degree, max_diameter):
-    """Check degree, connectivity, and diameter for an undirected edge set."""
-    deg = [0] * n
+def _edge_adjacency(n, edges):
     adj = [[] for _ in range(n)]
     for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
         adj[u].append(v)
         adj[v].append(u)
-    if any(d > max_degree for d in deg):
+    return adj
+
+
+def _edges_feasible(n, edges, max_degree, max_diameter):
+    """Check degree, connectivity, and diameter for an undirected edge set."""
+    adj = _edge_adjacency(n, edges)
+    if any(len(nbrs) > max_degree for nbrs in adj):
         return False
     for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        q = deque([s])
-        seen = 1
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    if dist[v] > max_diameter:
-                        return False
-                    q.append(v)
-                    seen += 1
-        if seen < n:
+        dist = bfs(adj, s)
+        if -1 in dist or max(dist) > max_diameter:
             return False
     return True
 
 
 def _avg_distance(n, edges):
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    total = 0
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    q.append(v)
-        total += sum(dist)
-    return total / (n * (n - 1))
+    adj = _edge_adjacency(n, edges)
+    return sum(sum(bfs(adj, s)) for s in range(n)) / (n * (n - 1))
 
 
 def exhaustive_optimum(n, max_degree, max_diameter):
@@ -545,12 +557,8 @@ def synthesize(n, max_degree, max_diameter, seed=0, budget=200):
                 f"(n={n} too large for exhaustive certification)"
             )
 
-    adj = [[] for _ in range(n)]
-    for u, v in best[2]:
-        adj[u].append(v)
-        adj[v].append(u)
     return Topology(
-        adj,
+        _edge_adjacency(n, best[2]),
         SYNTHESIZED,
         {"n": n, "max_degree": max_degree, "max_diameter": max_diameter, "seed": seed},
     )

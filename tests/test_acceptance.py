@@ -10,7 +10,7 @@ from dataclasses import replace
 
 from nocsim import addressing, engine, fabric, routing, topology as topo, workload
 
-from test_routing import random_connected_topology
+from test_routing import all_shortest_paths_oracle, random_connected_topology
 
 
 def verdict(num, name, ok, detail=""):
@@ -35,7 +35,7 @@ def test_criterion_01_route_enumeration_matches_oracle():
         if src == dst:
             dst = (src + 1) % t.node_count
         if routing.neighborhood_routes(t, src, dst) != \
-                routing.all_shortest_paths_oracle(t, src, dst):
+                all_shortest_paths_oracle(t, src, dst):
             ok = False
             break
         checked += 1
@@ -47,7 +47,7 @@ def test_criterion_01_route_enumeration_matches_oracle():
                     if src == dst:
                         continue
                     if routing.neighborhood_routes(t, src, dst) != \
-                            routing.all_shortest_paths_oracle(t, src, dst):
+                            all_shortest_paths_oracle(t, src, dst):
                         ok = False
                     checked += 1
     elapsed = time.perf_counter() - start
@@ -171,7 +171,7 @@ def _connected_failed_links(t, count, seed):
     for u, v in rng.sample(t.undirected_edges(), 4 * count):
         trial = failed + [(u, v)]
         both = [(a, b) for a, b in trial] + [(b, a) for a, b in trial]
-        if topo.alive_view(t, (), both).is_connected():
+        if topo.TopologyView(t, (), both).is_connected():
             failed = trial
         if len(failed) == count:
             break

@@ -1,6 +1,8 @@
 """Experiment config parsing and the command-line interface."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -272,3 +274,32 @@ def test_cli_score_values(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "diameter=6" in out and "edge_count=24" in out
+
+
+NO_GRAPH_LIBRARY = """
+import sys
+import nocsim
+from nocsim import cli, engine, topology, workload
+
+engine.run(engine.SimConfig(
+    topology=topology.mesh(4, 4), algorithm="greedy_fallback",
+    traffic=workload.TrafficSpec(injection_rate=0.05, seed=1),
+    warmup_cycles=20, measure_cycles=100, drain_cycles=100,
+))
+assert cli.main(["check-deadlock", "--config", sys.argv[1], "--algorithm", "xy"]) == 0
+topology.synthesize(6, 3, 2)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "networkx"))
+"""
+
+
+def test_package_runs_without_networkx(tmp_path):
+    """A run, a deadlock check and a synthesis load no graph library."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_GRAPH_LIBRARY, write_config(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["deadlock-free: true", "[]"]

@@ -14,17 +14,12 @@ def packet(length, pid=0):
 
 def test_make_flits_framing():
     flits = fabric.make_flits(packet(4))
-    assert [f.kind for f in flits] == [
-        fabric.HEAD, fabric.BODY, fabric.BODY, fabric.TAIL
-    ]
-    assert [f.seq for f in flits] == [0, 1, 2, 3]
-    assert flits[0].is_head and not flits[0].is_tail
-    assert flits[-1].is_tail and not flits[-1].is_head
+    assert [f.is_head for f in flits] == [True, False, False, False]
+    assert [f.is_tail for f in flits] == [False, False, False, True]
 
 
 def test_single_flit_packet_is_head_tail():
     (f,) = fabric.make_flits(packet(1))
-    assert f.kind == fabric.HEAD_TAIL
     assert f.is_head and f.is_tail
 
 
@@ -46,7 +41,7 @@ def test_vc_binds_on_head_releases_on_tail():
 
 def test_vc_rejects_orphan_body():
     vc = fabric.InputVC(depth=4)
-    body = fabric.Flit(packet(3), fabric.BODY, 1)
+    body = fabric.Flit(packet(3), is_head=False, is_tail=False)
     with pytest.raises(ProtocolViolation):
         vc.push(body, 0)
 
@@ -161,7 +156,7 @@ def test_local_queue_atomic_push_and_decision_reset():
 # -- router state ------------------------------------------------------------
 
 def test_router_state_layout_and_congestion():
-    r = fabric.RouterState(node=0, n_ports=3, vc_count=2, depth=4)
+    r = fabric.RouterState(n_ports=3, vc_count=2, depth=4)
     assert set(r.inputs) == {(p, v) for p in range(3) for v in range(2)}
     p = packet(2)
     for i, f in enumerate(fabric.make_flits(p)):
@@ -174,7 +169,7 @@ def test_router_state_layout_and_congestion():
 # -- wireless hub MAC --------------------------------------------------------
 
 def hub_state(w_cycles=3):
-    return fabric.WirelessHubState((10, 20, 30), w_cycles=w_cycles, queue_cap=4)
+    return fabric.WirelessHubState((10, 20, 30), w_cycles=w_cycles)
 
 
 def test_nearest_hub_tie_breaks_low_id():
@@ -217,7 +212,7 @@ def test_mac_serializes_competing_hubs():
         assert ws.current_tx is None or ws.busy_until is not None
         delivered += out
     assert [p.pid for p, _ in delivered] == [0, 1, 2, 3, 4, 5]
-    assert ws.queued_packets() == 0
+    assert not any(ws.queues.values()) and ws.current_tx is None
 
 
 def test_admission_rule():

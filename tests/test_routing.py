@@ -42,6 +42,21 @@ def assert_valid_route(view, route, src, dst):
         assert view.has_link(a, b)
 
 
+def all_shortest_paths_oracle(view, src, dst):
+    """Independent enumeration from the source side (networkx DAG walk);
+    cross-checks neighborhood_routes."""
+    view = view if isinstance(view, topo.TopologyView) else topo.TopologyView(view)
+    g = nx.DiGraph()
+    g.add_nodes_from(view.alive_nodes())
+    for u in view.alive_nodes():
+        for _, v in view.alive_neighbors(u):
+            g.add_edge(u, v)
+    try:
+        return {tuple(p) for p in nx.all_shortest_paths(g, src, dst)}
+    except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
+        raise Unreachable(f"{dst} not reachable from {src}") from exc
+
+
 # -- dimension-order XY ------------------------------------------------------
 
 def test_route_xy_mesh_shape():
@@ -267,7 +282,7 @@ def test_neighborhood_routes_respect_faults():
     t = topo.mesh(3, 3)
     view = topo.TopologyView(t, failed_nodes=(4,))
     routes = routing.neighborhood_routes(view, 0, 8)
-    assert routes == routing.all_shortest_paths_oracle(view, 0, 8)
+    assert routes == all_shortest_paths_oracle(view, 0, 8)
     for r in routes:
         assert 4 not in r
 
@@ -285,7 +300,7 @@ def test_neighborhood_unreachable():
     with pytest.raises(Unreachable):
         routing.neighborhood_routes(view, 0, 3)
     with pytest.raises(Unreachable):
-        routing.all_shortest_paths_oracle(view, 0, 3)
+        all_shortest_paths_oracle(view, 0, 3)
 
 
 def test_neighborhood_budget_exceeded():
@@ -303,7 +318,7 @@ def test_neighborhood_matches_oracle_on_random_graphs():
         if src == dst:
             continue
         assert routing.neighborhood_routes(t, src, dst) == \
-            routing.all_shortest_paths_oracle(t, src, dst)
+            all_shortest_paths_oracle(t, src, dst)
 
 
 @given(st.integers(0, 10_000))
@@ -313,7 +328,7 @@ def test_neighborhood_oracle_property(seed):
     t = random_connected_topology(rng, max_nodes=16)
     src, dst = 0, t.node_count - 1
     assert routing.neighborhood_routes(t, src, dst) == \
-        routing.all_shortest_paths_oracle(t, src, dst)
+        all_shortest_paths_oracle(t, src, dst)
 
 
 # -- hierarchical routing ----------------------------------------------------
@@ -373,6 +388,54 @@ def test_fallback_routes_around_obstacle():
     assert not any(n in OBSTACLE_NODES for n in route)
     # greedy prefix + BFS distance from the stuck node
     assert len(route) - 1 == view.bfs_distances(src)[dst]
+
+
+def test_successor_routes_are_the_smallest_shortest_routes_under_one_way_faults():
+    """Walking shortest_successors gives min(neighborhood_routes), with
+    distances to the root, also where a link has failed one way only."""
+    rng = random.Random(7)
+    for t in (topo.ring(6), topo.mesh(4, 3), topo.torus(3, 3)):
+        links = sorted((u, v) for u, v, _ in t.links)
+        for _ in range(8):
+            view = topo.TopologyView(
+                t, failed_nodes=rng.sample(range(t.node_count), rng.randint(0, 1)),
+                failed_links=rng.sample(links, 3),
+            )
+            for dst in range(t.node_count):
+                dist, succ = view.shortest_successors(dst)
+                for src in range(t.node_count):
+                    try:
+                        expected = min(routing.neighborhood_routes(view, src, dst))
+                    except Unreachable:
+                        expected = ()
+                    assert topo.successor_route(succ, src) == expected
+                    assert dist[src] == len(expected) - 1
+
+
+def test_fallback_walks_past_a_long_wall():
+    """Column x=8 of a 16x16 mesh fails at y=1..15. Greedy from 0 to 190
+    climbs the wall's west face and stalls; the fallback goes back to the
+    gap at y=0 over a shortest route, which has more shortest routes than
+    any enumeration cap allows."""
+    t = topo.mesh(16, 16)
+    view = topo.TopologyView(t, failed_nodes=[t.xy_node(8, y) for y in range(1, 16)])
+    cmap = addressing.assign_virtual_coordinates(t, addressing.default_anchors(t, 3))
+    src, dst = 0, 190
+    walk = [src]
+    while True:
+        d = routing.next_hop_greedy(cmap, walk[-1], dst, view.alive_neighbors(walk[-1]))
+        if d.kind != "forward":
+            break
+        walk.append(d.node)
+    assert d is routing.LOCAL_MINIMUM and walk[-1] != dst
+    route = routing.greedy_with_fallback(cmap, view, src, dst)
+    assert_valid_route(view, route, src, dst)
+    # the greedy prefix up to where the spliced shortest route leaves it
+    # (loop erasure cuts the walk back there), then BFS-shortest from it
+    k = max(i for i, node in enumerate(route) if node in walk)
+    assert route[:k + 1] == tuple(walk[:k + 1])
+    assert len(route) - 1 - k == view.bfs_distances(route[k])[dst]
+    assert walk[-1] not in route  # the stall point was on a loop
 
 
 def test_fallback_unreachable():
@@ -458,3 +521,70 @@ def test_cdg_nodes_cover_all_directed_links():
     cdg = routing.build_cdg(t, routing.xy_relation(t))
     expected = {(u, v, 0) for u, v, _ in t.links}
     assert set(cdg.nodes) == expected
+
+
+def networkx_cdg(t, relation, vc_count):
+    """The CDG by a second construction: every channel's dependencies per
+    destination, kept only where the channel is reachable from an
+    injection channel (networkx descendants)."""
+    channels = [(u, v, vc) for u in range(t.node_count)
+                for v in t.neighbors(u) for vc in range(vc_count)]
+    g = nx.DiGraph()
+    g.add_nodes_from(channels)
+    for dst in range(t.node_count):
+        state = nx.DiGraph()
+        for u, v, vc in channels:
+            if v != dst:
+                for nxt, out_vc in relation(v, dst, vc, u):
+                    state.add_edge((u, v, vc), (v, nxt, out_vc))
+        injected = {(src, nxt, vc) for src in range(t.node_count) if src != dst
+                    for nxt, vc in relation(src, dst, None, None)}
+        reached = set(injected)
+        for ch in injected:
+            if ch in state:
+                reached |= nx.descendants(state, ch)
+        g.add_nodes_from(injected)
+        g.add_edges_from((a, b) for a, b in state.edges if a in reached)
+    return g
+
+
+CDG_CASES = {
+    "xy mesh 4x3": (topo.mesh(4, 3), routing.xy_relation, 1),
+    "dyxy mesh 3x3": (topo.mesh(3, 3), routing.dyxy_relation, 1),
+    "minimal adaptive mesh 3x4": (topo.mesh(3, 4), routing.minimal_adaptive_relation, 1),
+    "xy torus 4x3 1 VC": (topo.torus(4, 3), routing.xy_relation, 1),
+    "dateline torus 4x4": (
+        topo.torus(4, 4), lambda t: routing.torus_xy_dateline_relation(t, 2), 2),
+    "dateline torus 5x3": (
+        topo.torus(5, 3), lambda t: routing.torus_xy_dateline_relation(t, 2), 2),
+    "minimal adaptive torus 3x3": (topo.torus(3, 3), routing.minimal_adaptive_relation, 1),
+    "minimal adaptive ring 6": (topo.ring(6), routing.minimal_adaptive_relation, 1),
+    "minimal adaptive ring 7, 2 VCs": (topo.ring(7), routing.minimal_adaptive_relation, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CDG_CASES))
+def test_cdg_equals_a_networkx_oracle(case):
+    t, make_relation, vc_count = CDG_CASES[case]
+    relation = make_relation(t)
+    cdg = routing.build_cdg(t, relation, vc_count)
+    oracle = networkx_cdg(t, relation, vc_count)
+    assert set(cdg.nodes) == set(oracle.nodes)
+    assert cdg.number_of_nodes() == oracle.number_of_nodes()
+    assert cdg.number_of_edges() == oracle.number_of_edges()
+    assert all(cdg.has_edge(a, b) for a, b in oracle.edges)
+    assert routing.is_deadlock_free(cdg) == nx.is_directed_acyclic_graph(oracle)
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_kahn_agrees_with_networkx_on_random_digraphs(edges):
+    cdg = routing.ChannelDependencyGraph()
+    g = nx.DiGraph()
+    for a, b in edges:
+        cdg.add_edge(a, b)
+        g.add_edge(a, b)
+    assert cdg.number_of_nodes() == g.number_of_nodes()
+    assert cdg.number_of_edges() == g.number_of_edges()
+    assert routing.is_deadlock_free(cdg) == nx.is_directed_acyclic_graph(g)

@@ -169,7 +169,7 @@ def test_score_disconnected_raises():
 
 def test_view_failed_node_implies_incident_links():
     t = topo.mesh(3, 3)
-    v = topo.alive_view(t, failed_nodes=(4,))
+    v = topo.TopologyView(t, failed_nodes=(4,))
     assert not v.has_node(4)
     assert not v.has_link(1, 4) and not v.has_link(4, 1)
     assert v.alive_neighbors(4) == []
@@ -178,32 +178,32 @@ def test_view_failed_node_implies_incident_links():
 
 def test_view_directed_link_failure_is_one_way():
     t = topo.mesh(3, 3)
-    v = topo.alive_view(t, failed_links=((0, 1),))
+    v = topo.TopologyView(t, failed_links=((0, 1),))
     assert not v.has_link(0, 1)
     assert v.has_link(1, 0)
 
 
 def test_view_bfs_and_connectivity():
     t = topo.mesh(3, 3)
-    v = topo.alive_view(t, failed_nodes=(1, 3))
+    v = topo.TopologyView(t, failed_nodes=(1, 3))
     # corner 0 is cut off
     assert not v.is_connected()
     assert v.bfs_distances(4)[0] == -1
-    assert topo.alive_view(t).is_connected()
+    assert topo.TopologyView(t).is_connected()
 
 
 def test_view_rejects_unknown_elements():
     t = topo.mesh(2, 2)
     with pytest.raises(InvalidParams):
-        topo.alive_view(t, failed_nodes=(9,))
+        topo.TopologyView(t, failed_nodes=(9,))
     with pytest.raises(InvalidParams):
-        topo.alive_view(t, failed_links=((0, 3),))
+        topo.TopologyView(t, failed_links=((0, 3),))
 
 
 def test_view_never_mutates_base():
     t = topo.mesh(3, 3)
     before = t.adjacency
-    topo.alive_view(t, failed_nodes=(4,), failed_links=((0, 1),))
+    topo.TopologyView(t, failed_nodes=(4,), failed_links=((0, 1),))
     assert t.adjacency == before
 
 

@@ -153,24 +153,23 @@ def cmd_coords(args):
 
 
 def cmd_check_deadlock(args):
-    topology = _load_topology(args)
-    algorithm = args.algorithm
-    vc_count = args.vcs
-    if vc_count is None:
-        vc_count = 2 if topology.kind == topo.TORUS else 1
-    if algorithm in ("xy", "dyxy") and topology.kind == topo.TORUS and vc_count >= 2:
-        relation = routing.torus_xy_dateline_relation(topology, vc_count)
-    elif algorithm == "xy":
-        relation = routing.xy_relation(topology)
-    elif algorithm == "dyxy":
-        relation = routing.dyxy_relation(topology)
-    elif algorithm == "minimal_adaptive":
-        relation = routing.minimal_adaptive_relation(topology)
-    else:
-        raise ConfigError(f"no deadlock relation for algorithm {algorithm!r}")
-    cdg = routing.build_cdg(topology, relation, vc_count)
-    free = routing.is_deadlock_free(cdg)
-    print(f"deadlock-free: {'true' if free else 'false'}")
+    if args.topology or not args.config:
+        topology, vc_count, maps = _load_topology(args), 1, ()
+    else:  # the run's own VC count, anchors and centers
+        t = _load_experiment(args).template
+        topology, vc_count = t.topology, t.resolved_vc_count()
+        maps = (t.anchor_count, t.center_count)
+    if args.vcs is not None:
+        vc_count = args.vcs
+    if vc_count < 1:
+        raise ConfigError("--vcs must be >= 1")
+    algorithm = routing.lookup(args.algorithm, topology.kind, routing.RELATIONS)
+    ctx = engine.routing_context(algorithm, topology, vc_count, *maps)
+    cdg = routing.build_cdg(topology, routing.relation(algorithm, ctx), vc_count)
+    cycle = routing.dependency_cycle(cdg)
+    print(f"deadlock-free: {'false' if cycle else 'true'}")
+    if cycle:
+        print("cycle: " + " -> ".join(str(c) for c in cycle + cycle[:1]))
     return 0
 
 

@@ -63,15 +63,7 @@ from .addressing import (
     assign_virtual_coordinates,
     default_anchors,
 )
-from .errors import (
-    ConfigError,
-    CoordinateAliasing,
-    DeadlockDetected,
-    LivelockDetected,
-)
-
-ALGORITHMS = ("xy", "dyxy", "greedy", "greedy_fallback", "neighborhood", "hierarchical")
-GRID_ALGOS = ("xy", "dyxy")
+from .errors import ConfigError, DeadlockDetected, LivelockDetected
 
 
 @dataclass(frozen=True)
@@ -111,14 +103,7 @@ class SimConfig:
         return 2 if self.topology.kind == topo.TORUS else 1
 
     def validate(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown routing algorithm {self.algorithm!r}")
-        if self.algorithm in GRID_ALGOS and self.topology.kind not in (topo.MESH, topo.TORUS):
-            raise ConfigError(
-                f"{self.algorithm} requires a mesh or torus, got {self.topology.kind}"
-            )
-        if self.algorithm == "dyxy" and self.topology.kind != topo.MESH:
-            raise ConfigError("dyxy requires a mesh")
+        routing.lookup(self.algorithm, self.topology.kind)
         if self.switching not in fabric.SWITCHING_POLICIES:
             raise ConfigError(f"unknown switching policy {self.switching!r}")
         if self.switching in (fabric.SAF, fabric.VCT):
@@ -136,6 +121,20 @@ class SimConfig:
             for h in self.wireless.hubs:
                 if not 0 <= h < self.topology.node_count:
                     raise ConfigError(f"hub {h} not in topology")
+
+
+def routing_context(algorithm, view, vc_count,
+                    anchor_count=SimConfig.anchor_count, center_count=SimConfig.center_count):
+    """The ``routing.RoutingContext`` a run routes ``algorithm`` with, over
+    ``view``: virtual coordinates or hierarchical addresses, when the
+    algorithm reads them, are assigned once over the fault-free topology."""
+    ctx = routing.RoutingContext(view, vc_count)
+    t = ctx.topology
+    if algorithm.coordinates:
+        ctx.coordinates = assign_virtual_coordinates(t, default_anchors(t, anchor_count))
+    if algorithm.centers:
+        ctx.addresses = assign_hierarchical_addresses(t, default_anchors(t, center_count))
+    return ctx
 
 
 @dataclass(frozen=True)
@@ -228,16 +227,6 @@ class Simulation:
             for u in range(self.n)
         ]
 
-        algo = config.algorithm
-        self.coord_map = None
-        self.address_map = None
-        if algo in ("greedy", "greedy_fallback"):
-            anchors = default_anchors(self.topo, config.anchor_count)
-            self.coord_map = assign_virtual_coordinates(self.topo, anchors)
-        if algo == "hierarchical":
-            centers = default_anchors(self.topo, config.center_count)
-            self.address_map = assign_hierarchical_addresses(self.topo, centers)
-
         self.schedule = config.fault_schedule
         # ascending cycles at which the failed sets change; faults already
         # active at cycle 0 are applied at 0
@@ -247,6 +236,10 @@ class Simulation:
         self.fault_changes = sorted(c for c in changes if c >= 0)
         self.epoch = 0
         self.view = topo.TopologyView(self.topo)
+        self.algo = routing.ALGORITHMS[config.algorithm]
+        self.ctx = routing_context(
+            self.algo, self.view, self.vc_count, config.anchor_count, config.center_count
+        )
 
         self.wireless = None
         if config.wireless.enabled:
@@ -279,8 +272,6 @@ class Simulation:
         self.pending = []    # (upstream, node, input VC, flit) arriving next cycle
         self.eject_progress = {}  # packet -> flits consumed before its tail
         self.last_progress = 0
-        # dst -> view.shortest_successors(dst) table, for this fault epoch
-        self.successor_tables = {}
 
         self.preloaded = sorted(config.preloaded)
         spec = config.traffic
@@ -299,73 +290,39 @@ class Simulation:
     # routing decisions
     # ------------------------------------------------------------------
 
-    def _first_route(self, src, dst):
-        """Lexicographically-smallest shortest route over the alive view,
-        () when dst is unreachable (equals min(neighborhood_routes(...)))."""
-        succ = self.successor_tables.get(dst)
-        if succ is None:
-            succ = self.successor_tables[dst] = self.view.shortest_successors(dst)[1]
-        return topo.successor_route(succ, src)
-
-    def _injection_route(self, src, dst):
-        """Source route for route-at-injection algorithms; () if unreachable."""
-        algo = self.cfg.algorithm
-        if algo == "xy" and self.topo.kind == topo.MESH:
-            return routing.route_xy(self.topo, src, dst)
-        if algo == "neighborhood":
-            return self._first_route(src, dst)
-        if algo == "hierarchical":
-            return routing.hierarchical_route(self.address_map, src, dst)
-        return None  # per-hop algorithm
-
     def _decide(self, node, packet, in_vc, came_from):
-        """(next_node, out_vc) for the head of ``packet`` at ``node``;
-        None drops the packet (no route over the alive view)."""
-        algo = self.cfg.algorithm
-        dst = packet.dst
-        if packet.route is not None:
-            idx = packet.route_index.get(node)
-            if idx is None or idx + 1 >= len(packet.route):
+        """(next_node, out_vc) for the head of ``packet`` at ``node``: the
+        next hop of the route it carries, else the option its algorithm
+        picks; None drops the packet (no route over the alive view)."""
+        if packet.route is None:
+            options = self.algo.options(self.ctx, node, packet.dst, in_vc, came_from)
+            if not options:
                 return None
-            nxt = packet.route[idx + 1]
-            if not self.view.has_link(node, nxt) or not self.view.has_node(nxt):
-                return None
-            return nxt, 0
-        if algo == "xy":  # torus: per-hop for the dateline VC rule
-            nxt, vc = routing.torus_xy_next(self.topo, node, dst, in_vc, came_from)
-            if vc >= self.vc_count:
-                vc = self.vc_count - 1
-            if not self.view.has_link(node, nxt):
-                return None
-            return nxt, vc
-        if algo == "dyxy":
-            occ = {
-                v: self.routers[v].congestion()
-                for v in self.topo.neighbors(node)
-            }
-            decision = routing.next_hop_dyxy(self.topo, node, dst, occ)
-            if decision.kind != "forward":
-                return None
-            if not self.view.has_link(node, decision.node):
-                return None
-            return decision.node, 0
-        if algo in ("greedy", "greedy_fallback"):
-            try:
-                decision = routing.next_hop_greedy(
-                    self.coord_map, node, dst, self.view.alive_neighbors(node)
-                )
-            except CoordinateAliasing:
-                decision = routing.LOCAL_MINIMUM
-            if decision.kind == "forward":
-                return decision.node, 0
-            if algo == "greedy":
-                return None
-            fallback = self._first_route(node, dst)
-            if not fallback:
-                return None
-            packet.set_route(fallback)
-            return fallback[1], 0
-        raise ConfigError(f"no per-hop rule for algorithm {algo!r}")
+            nxt, vc, route = self.algo.pick(
+                options, lambda v: self.routers[v].congestion()
+            )
+            if route is not None:  # switched to source routing from here
+                packet.set_route(route)
+        if packet.route is not None:  # a head is never at its route's end
+            nxt, vc = packet.route[packet.route_index[node] + 1], 0
+        return (nxt, vc) if self.view.has_link(node, nxt) else None
+
+    def _route_at_injection(self, packet, src):
+        """Fix the route of a packet entering the wires at src when its
+        algorithm routes at the source, so a later fault drops the packet
+        rather than rerouting it; False, with the packet dropped, when its
+        dst is unreachable over the alive view."""
+        fix = self.algo.source_route
+        route = fix and fix(self.ctx, src, packet.dst)
+        if route is None:
+            packet.route = packet.route_index = None
+        elif route:
+            packet.set_route(route)
+        else:
+            self._drop_packet(packet)
+            self.dropped_flits += packet.length
+            return False
+        return True
 
     # ------------------------------------------------------------------
     # run loop
@@ -433,7 +390,7 @@ class Simulation:
         self.view = topo.TopologyView(self.topo, *workload.faults_at(self.schedule, now))
         nodes, links = self.view.failed_nodes, self.view.failed_links
         self.epoch += 1
-        self.successor_tables.clear()
+        self.ctx.set_view(self.view)
         dead = set()
         # packets occupying failed elements
         for u in nodes:
@@ -577,18 +534,10 @@ class Simulation:
         self.injected_packets += 1
         self.injected_flits += packet.length
 
-        if self.wireless is not None and not packet.reinjected:
+        if self.wireless is not None:
             self._try_wireless(packet)
-
-        if packet.route is None and packet.dst != src:
-            route = self._injection_route(src, packet.dst)
-            if route is not None:
-                if not route:
-                    # unreachable over the alive view
-                    self._drop_packet(packet)
-                    self.dropped_flits += packet.length
-                    return
-                packet.set_route(route)
+        if packet.dst != src and not self._route_at_injection(packet, src):
+            return
 
         flits = fabric.make_flits(packet)
         if packet.wireless and packet.dst == src:
@@ -624,24 +573,13 @@ class Simulation:
         progress = bool(delivered) or busy_before != (ws.busy_until is not None)
         for packet, hub in delivered:
             self.hub_outstanding[packet.dst] -= 1  # dst is still the entry hub
-            if packet.dropped:
-                self.dropped_flits += packet.length
-                continue
             packet.dst = packet.final_dst
             packet.reinjected = True
             if hub == packet.final_dst:
                 self._deliver(packet, now)
                 continue
-            route = self._injection_route(hub, packet.dst)
-            if route is not None:
-                if not route:
-                    self._drop_packet(packet)
-                    self.dropped_flits += packet.length
-                    continue
-                packet.set_route(route)
-            else:
-                packet.route = None
-                packet.route_index = None
+            if not self._route_at_injection(packet, hub):
+                continue
             flits = fabric.make_flits(packet)
             for f in flits:
                 f.hop_count = packet.hops + 1  # the radio hop

@@ -1,14 +1,14 @@
-"""Routing algorithms: dimension-order XY, congestion-adaptive DyXY,
-greedy advance over virtual coordinates with a shortest-route fallback,
-neighborhood route enumeration, hierarchical multi-center routing, and
-channel-dependency deadlock analysis.
+"""Routing algorithms and channel-dependency deadlock analysis.
 
-All functions are pure; routes are tuples of node ids (source..destination
-inclusive), loop-free and valid over the alive view they were built on.
-Shortest routes and hop distances come from ``topology`` (one BFS, one
-lowest-id shortest-successor rule). The channel dependency graph is a plain
-adjacency map and its acyclicity test is Kahn's algorithm, so the package
-needs no graph library.
+``ALGORITHMS`` defines each algorithm the engine runs once: XY, DyXY,
+greedy advance over virtual coordinates (alone or with a shortest-route
+fallback), the neighborhood method and hierarchical multi-center routing.
+The engine takes its decisions from an entry and ``build_cdg`` walks every
+state the same entry reaches, so ``check-deadlock`` judges the engine's own
+relation. Routes are loop-free node tuples (source..destination), valid
+over the alive view they were built on; shortest routes come from
+``topology``'s one BFS and lowest-id successor rule. The dependency graph
+is a plain adjacency map tested by Kahn's algorithm: no graph library.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from . import topology as topo
 from .addressing import coordinate_distance
 from .errors import (
     BudgetExceeded,
+    ConfigError,
     CoordinateAliasing,
     Unreachable,
     WrongTopologyKind,
@@ -27,18 +28,13 @@ from .errors import (
 
 @dataclass(frozen=True)
 class RoutingDecision:
-    kind: str  # "forward" | "arrived" | "local_minimum" | "no_route"
+    kind: str  # "forward" | "arrived" | "local_minimum"
     port: int = None
     node: int = None
-
-    @classmethod
-    def forward(cls, port, node):
-        return cls("forward", port, node)
 
 
 ARRIVED = RoutingDecision("arrived")
 LOCAL_MINIMUM = RoutingDecision("local_minimum")
-NO_ROUTE = RoutingDecision("no_route")
 
 
 def _as_view(t):
@@ -59,13 +55,6 @@ def _axis_steps(cur, dst, size, wrap):
     fwd = (dst - cur) % size
     back = (cur - dst) % size
     return 1 if fwd <= back else -1
-
-
-def _axis_distance(cur, dst, size, wrap):
-    d = abs(dst - cur)
-    if wrap:
-        d = min(d, size - d)
-    return d
 
 
 def route_xy(topology, src, dst):
@@ -89,39 +78,30 @@ def route_xy(topology, src, dst):
     return tuple(route)
 
 
-def grid_distance(topology, src, dst):
-    """Manhattan distance, wrap-aware on tori."""
-    w, h = topology.grid_shape()
-    wrap = topology.kind == topo.TORUS
-    x, y = topology.node_xy(src)
-    dx, dy = topology.node_xy(dst)
-    return _axis_distance(x, dx, w, wrap) + _axis_distance(y, dy, h, wrap)
+def torus_xy_next(topology, node, dst, in_vc, came_from):
+    """One wrap-aware XY hop on a torus with dateline escape VCs.
 
-
-def next_hop_dyxy(topology, current, dst, occupancy):
-    """DyXY: among minimal X/Y directions pick the neighbor with strictly
-    lower buffer occupancy; ties go to X. Always minimal.
-
-    ``occupancy`` maps neighbor node id -> buffered flit count.
+    Packets start each dimension on VC 0 and switch to VC 1 after crossing
+    that ring's wrap link (the dateline). Returns (next_node, out_vc).
     """
-    if topology.kind != topo.MESH:
-        raise WrongTopologyKind("DyXY is defined on meshes")
-    if current == dst:
-        return ARRIVED
+    nxt = route_xy(topology, node, dst)[1]
     w, h = topology.grid_shape()
-    x, y = topology.node_xy(current)
-    dx, dy = topology.node_xy(dst)
-    candidates = []
-    if x != dx:
-        candidates.append(topology.xy_node(x + (1 if dx > x else -1), y))
-    if y != dy:
-        candidates.append(topology.xy_node(x, y + (1 if dy > y else -1)))
-    if len(candidates) == 1:
-        nxt = candidates[0]
+    x, y = node % w, node // w
+    nx_, ny_ = nxt % w, nxt // w
+    next_is_x = ny_ == y
+    if came_from is None:
+        vc = 0
     else:
-        x_nbr, y_nbr = candidates
-        nxt = y_nbr if occupancy.get(y_nbr, 0) < occupancy.get(x_nbr, 0) else x_nbr
-    return RoutingDecision.forward(topology.port_to(current, nxt), nxt)
+        prev_was_x = came_from // w == y
+        # VC carries over within a dimension; switching X->Y restarts at 0
+        vc = in_vc if prev_was_x == next_is_x else 0
+    if next_is_x:
+        if (x == w - 1 and nx_ == 0) or (x == 0 and nx_ == w - 1):
+            vc = 1
+    else:
+        if (y == h - 1 and ny_ == 0) or (y == 0 and ny_ == h - 1):
+            vc = 1
+    return nxt, vc
 
 
 # --------------------------------------------------------------------------
@@ -151,7 +131,7 @@ def next_hop_greedy(coordinate_map, current, dst, alive_neighbors, metric="eucli
             best = (d, port, node)
     if best is None:
         return LOCAL_MINIMUM
-    return RoutingDecision.forward(best[1], best[2])
+    return RoutingDecision("forward", best[1], best[2])
 
 
 # --------------------------------------------------------------------------
@@ -217,49 +197,171 @@ def hierarchical_route(address_map, src, dst):
 
 
 # --------------------------------------------------------------------------
-# Greedy with neighborhood fallback
+# The routing table: one definition per algorithm
 # --------------------------------------------------------------------------
+
+class RoutingContext:
+    """What routing reads besides the packet: the base topology, the alive
+    view, the VC count, an algorithm's address maps, and per-destination
+    tables (base hop distances; shortest successors over the view)."""
+
+    def __init__(self, view, vc_count=1, coordinates=None):
+        self.view = _as_view(view)
+        self.topology = self.view.base
+        self.vc_count = vc_count
+        self.coordinates = coordinates
+        self.addresses = None
+        self.distances = {}
+        self.successors = {}
+
+    def set_view(self, view):
+        self.view = view
+        self.successors.clear()
+
+    def first_route(self, src, dst):
+        """min(neighborhood_routes(view, src, dst)), or () if unreachable."""
+        succ = self.successors.get(dst)
+        if succ is None:
+            succ = self.successors[dst] = self.view.shortest_successors(dst)[1]
+        return topo.successor_route(succ, src)
+
+    def distance_to(self, dst):
+        """Every node's hop distance to dst over the fault-free topology."""
+        d = self.distances.get(dst)
+        if d is None:
+            d = self.distances[dst] = self.topology.bfs_distances(dst)
+        return d
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One routing algorithm, read alike by the engine and by ``build_cdg``.
+
+    A head's state is (node, dst, in_vc, came_from, mode); mode is the
+    source route its packet carries, followed on VC 0. ``source_route(ctx,
+    src, dst)`` fixes it at injection (() if dst is unreachable) or gives
+    None for routing hop by hop: ``options(ctx, node, dst, in_vc,
+    came_from)`` then lists the (next node, out VC, route or None) a head
+    may take, in order; a route switches to source routing from here on.
+    """
+
+    kinds: tuple = None         # topology kinds it runs on; None: any
+    options: object = None
+    source_route: object = None
+    adaptive: bool = False      # a head takes its least congested option
+    coordinates: bool = False   # reads virtual coordinates
+    centers: bool = False       # reads hierarchical addresses
+
+    def pick(self, options, congestion):
+        """The option a head takes: the first, or for an adaptive algorithm
+        the one whose next node is least congested, the first on ties."""
+        if not self.adaptive:
+            return options[0]
+        return min(options, key=lambda option: congestion(option[0]))
+
+
+def _xy_route(ctx, src, dst):
+    # a mesh route is fixed at injection; a torus picks dateline VCs per hop
+    return route_xy(ctx.topology, src, dst) if ctx.topology.kind == topo.MESH else None
+
+
+def _torus_xy(ctx, node, dst, in_vc, came_from):
+    nxt, vc = torus_xy_next(ctx.topology, node, dst, in_vc, came_from)
+    return [(nxt, min(vc, ctx.vc_count - 1), None)]
+
+
+def _minimal(ctx, node, dst, in_vc, came_from):
+    # every neighbour one hop closer, in port order: X before Y on a mesh
+    d = ctx.distance_to(dst)
+    return [(v, 0, None) for v in ctx.topology.neighbors(node) if d[v] == d[node] - 1]
+
+
+def _greedy(ctx, node, dst, in_vc, came_from):
+    try:
+        decision = next_hop_greedy(ctx.coordinates, node, dst, ctx.view.alive_neighbors(node))
+    except CoordinateAliasing:
+        return []
+    return [(decision.node, 0, None)] if decision.kind == "forward" else []
+
+
+def _greedy_fallback(ctx, node, dst, in_vc, came_from):
+    # stuck at a local minimum: the smallest shortest route from here on
+    options = _greedy(ctx, node, dst, in_vc, came_from)
+    if options:
+        return options
+    route = ctx.first_route(node, dst)
+    return [(route[1], 0, route)] if route else []
+
+
+ALGORITHMS = {
+    "xy": Algorithm(kinds=(topo.MESH, topo.TORUS), source_route=_xy_route, options=_torus_xy),
+    "dyxy": Algorithm(kinds=(topo.MESH,), options=_minimal, adaptive=True),
+    "greedy": Algorithm(options=_greedy, coordinates=True),
+    "greedy_fallback": Algorithm(options=_greedy_fallback, coordinates=True),
+    "neighborhood": Algorithm(source_route=lambda ctx, src, dst: ctx.first_route(src, dst)),
+    "hierarchical": Algorithm(
+        source_route=lambda ctx, src, dst: hierarchical_route(ctx.addresses, src, dst),
+        centers=True,
+    ),
+}
+
+# check-deadlock also judges fully adaptive minimal routing, which no run uses
+RELATIONS = dict(ALGORITHMS, minimal_adaptive=Algorithm(options=_minimal, adaptive=True))
+
+
+def lookup(name, kind, table=ALGORITHMS):
+    """The entry for algorithm ``name`` on a topology of ``kind``."""
+    algorithm = table.get(name)
+    if algorithm is None:
+        raise ConfigError(f"unknown routing algorithm {name!r}")
+    if algorithm.kinds is not None and kind not in algorithm.kinds:
+        raise ConfigError(f"{name} requires a {' or '.join(algorithm.kinds)}, got {kind}")
+    return algorithm
+
+
+def relation(algorithm, ctx):
+    """``algorithm`` as a ``build_cdg`` relation: every option of every
+    state. A route in a state starts at the state's node."""
+
+    def next_hops(node, dst, in_vc, came_from, route):
+        if route is None and came_from is None and algorithm.source_route is not None:
+            route = algorithm.source_route(ctx, node, dst)
+        if route is not None:
+            return [(route[1], 0, route[1:])] if len(route) > 1 else []
+        options = algorithm.options(ctx, node, dst, in_vc, came_from)
+        return [(nxt, vc, switch and switch[1:]) for nxt, vc, switch in options]
+
+    return next_hops
+
 
 def _erase_loops(route):
     out = []
-    index = {}
     for node in route:
-        if node in index:
-            del_from = index[node]
-            for n in out[del_from:]:
-                del index[n]
-            out = out[:del_from]
-        index[node] = len(out)
-        out.append(node)
+        if node in out:
+            del out[out.index(node) + 1:]
+        else:
+            out.append(node)
     return tuple(out)
 
 
-def greedy_with_fallback(coordinate_map, view, src, dst, metric="euclidean"):
-    """Greedy advance hop by hop; on a local minimum or coordinate aliasing,
-    finish with the lexicographically smallest shortest route from the
-    stuck node, walked along ``shortest_successors``. The result is always
-    valid over the view and loop-free; raises Unreachable when the stuck
-    node cannot reach dst."""
-    view = _as_view(view)
-    route = [src]
-    current = src
-    while current != dst:
-        try:
-            decision = next_hop_greedy(
-                coordinate_map, current, dst, view.alive_neighbors(current), metric
-            )
-        except CoordinateAliasing:
-            decision = LOCAL_MINIMUM
-        if decision.kind == "forward":
-            current = decision.node
-            route.append(current)
-            continue
-        # stuck: splice in a shortest route from here
-        fallback = topo.successor_route(view.shortest_successors(dst)[1], current)
-        if not fallback:
-            raise Unreachable(f"{dst} not reachable from {current}")
-        return _erase_loops(tuple(route[:-1]) + fallback)
-    return tuple(route)
+def greedy_with_fallback(coordinate_map, view, src, dst):
+    """The path of a lone greedy_fallback head from src to dst, taking the
+    first option at every hop, with its loops erased: greedy advance, and
+    on a local minimum or coordinate aliasing the lexicographically
+    smallest shortest route from the stuck node. Valid over the view;
+    raises Unreachable when the stuck node cannot reach dst."""
+    next_hops = relation(
+        ALGORITHMS["greedy_fallback"], RoutingContext(view, coordinates=coordinate_map)
+    )
+    path, in_vc, came_from, route = [src], None, None, None
+    while path[-1] != dst:
+        options = next_hops(path[-1], dst, in_vc, came_from, route)
+        if not options:
+            raise Unreachable(f"{dst} not reachable from {path[-1]}")
+        came_from = path[-1]
+        nxt, in_vc, route = options[0]
+        path.append(nxt)
+    return _erase_loops(path)
 
 
 # --------------------------------------------------------------------------
@@ -300,11 +402,11 @@ class ChannelDependencyGraph:
 def build_cdg(topology, next_hops_fn, vc_count=1):
     """Channel dependency graph over (src, dst, vc) virtual channels.
 
-    ``next_hops_fn(node, dst, in_vc, came_from)`` returns the
-    (next_node, out_vc) pairs the routing relation may take for a packet at
-    ``node`` heading to ``dst``; ``in_vc``/``came_from`` are None at
-    injection. Dependencies are collected from the channel states actually
-    reachable for each destination.
+    ``next_hops_fn(node, dst, in_vc, came_from, mode)`` returns the
+    (next_node, out_vc, next_mode) options of a packet at ``node`` heading
+    to ``dst``; ``in_vc``/``came_from``/``mode`` are None at injection.
+    Dependencies are collected from the routing states actually reachable
+    for each destination.
     """
     g = ChannelDependencyGraph()
     for u in range(topology.node_count):
@@ -317,114 +419,73 @@ def build_cdg(topology, next_hops_fn, vc_count=1):
         for src in range(topology.node_count):
             if src == dst:
                 continue
-            for nxt, vc in next_hops_fn(src, dst, None, None):
-                ch = (src, nxt, vc)
-                if ch not in seen:
-                    seen.add(ch)
-                    frontier.append(ch)
+            for nxt, vc, mode in next_hops_fn(src, dst, None, None, None):
+                state = (src, nxt, vc, mode)
+                if state not in seen:
+                    seen.add(state)
+                    frontier.append(state)
         while frontier:
-            u, v, vc = frontier.pop()
+            u, v, vc, mode = frontier.pop()
             if v == dst:
                 continue
-            for nxt, out_vc in next_hops_fn(v, dst, vc, u):
-                ch = (v, nxt, out_vc)
-                g.add_edge((u, v, vc), ch)
-                if ch not in seen:
-                    seen.add(ch)
-                    frontier.append(ch)
+            for nxt, out_vc, out_mode in next_hops_fn(v, dst, vc, u, mode):
+                g.add_edge((u, v, vc), (v, nxt, out_vc))
+                state = (v, nxt, out_vc, out_mode)
+                if state not in seen:
+                    seen.add(state)
+                    frontier.append(state)
     return g
 
 
-def is_deadlock_free(cdg):
-    """Dally & Seitz: deadlock-free when the dependency graph is acyclic.
-    Kahn's algorithm: repeatedly remove a channel that no remaining channel
-    waits on; the graph is acyclic when every channel goes."""
-    waiters = dict.fromkeys(cdg.waits_on, 0)  # channel -> channels waiting on it
-    for nxt in cdg.waits_on.values():
-        for c in nxt:
-            waiters[c] += 1
-    free = [c for c, k in waiters.items() if k == 0]
-    removed = 0
+def dependency_cycle(cdg):
+    """One cycle of channels, each waiting on the next and the last on the
+    first, or None when the graph is acyclic.
+
+    Kahn's algorithm from the sinks: repeatedly remove a channel that waits
+    on no remaining channel. Every channel left waits on another one left,
+    so following the lowest of those from the lowest channel left comes
+    round to a channel already passed."""
+    left = {c: len(nxt) for c, nxt in cdg.waits_on.items()}  # waits still open
+    waiters = {c: [] for c in left}
+    for c, nxt in cdg.waits_on.items():
+        for d in nxt:
+            waiters[d].append(c)
+    free = [c for c, k in left.items() if k == 0]
     while free:
-        c = free.pop()
-        removed += 1
-        for d in cdg.waits_on[c]:
-            waiters[d] -= 1
-            if waiters[d] == 0:
-                free.append(d)
-    return removed == len(waiters)
+        d = free.pop()
+        del left[d]
+        for c in waiters[d]:
+            left[c] -= 1
+            if not left[c]:
+                free.append(c)
+    if not left:
+        return None
+    path = [min(left)]
+    while True:
+        c = min(d for d in cdg.waits_on[path[-1]] if d in left)
+        if c in path:
+            return path[path.index(c):]
+        path.append(c)
 
 
-# Canned routing relations for the CDG builder -----------------------------
+def is_deadlock_free(cdg):
+    """Dally & Seitz: deadlock-free when the dependency graph is acyclic."""
+    return dependency_cycle(cdg) is None
+
+
+# Canned relations for the CDG builder -----------------------------------
 
 def xy_relation(topology):
-    """Deterministic XY on a mesh or torus (single VC)."""
-
-    def next_hops(node, dst, in_vc, came_from):
-        if node == dst:
-            return []
-        r = route_xy(topology, node, dst)
-        return [(r[1], 0)]
-
-    return next_hops
-
-
-def dyxy_relation(topology):
-    """DyXY's CDG-facing relation: the zero-congestion projection (all
-    occupancies equal, ties to X), which coincides with XY. The unrestricted
-    minimal-adaptive relation has a cyclic CDG; see minimal_adaptive_relation
-    for that variant."""
-    return xy_relation(topology)
+    """XY on a mesh or torus, single VC."""
+    return relation(ALGORITHMS["xy"], RoutingContext(topology))
 
 
 def minimal_adaptive_relation(topology):
     """Fully adaptive minimal: every neighbor strictly closer (BFS) to the
     destination is a possible next hop, single VC."""
-    dist_from = [topology.bfs_distances(u) for u in range(topology.node_count)]
-
-    def next_hops(node, dst, in_vc, came_from):
-        if node == dst:
-            return []
-        d = dist_from[dst]
-        return [(v, 0) for v in topology.neighbors(node) if d[v] == d[node] - 1]
-
-    return next_hops
-
-
-def torus_xy_next(topology, node, dst, in_vc, came_from):
-    """One wrap-aware XY hop on a torus with dateline escape VCs.
-
-    Packets start each dimension on VC 0 and switch to VC 1 after crossing
-    that ring's wrap link (the dateline). Returns (next_node, out_vc).
-    """
-    nxt = route_xy(topology, node, dst)[1]
-    w, h = topology.grid_shape()
-    x, y = node % w, node // w
-    nx_, ny_ = nxt % w, nxt // w
-    next_is_x = ny_ == y
-    if came_from is None:
-        vc = 0
-    else:
-        prev_was_x = came_from // w == y
-        # VC carries over within a dimension; switching X->Y restarts at 0
-        vc = in_vc if prev_was_x == next_is_x else 0
-    if next_is_x:
-        if (x == w - 1 and nx_ == 0) or (x == 0 and nx_ == w - 1):
-            vc = 1
-    else:
-        if (y == h - 1 and ny_ == 0) or (y == 0 and ny_ == h - 1):
-            vc = 1
-    return nxt, vc
+    return relation(RELATIONS["minimal_adaptive"], RoutingContext(topology))
 
 
 def torus_xy_dateline_relation(topology, vc_count=2):
-    """CDG relation for wrap-aware XY with the dateline escape VC."""
-    if vc_count < 2:
-        return xy_relation(topology)
-
-    def next_hops(node, dst, in_vc, came_from):
-        if node == dst:
-            return []
-        return [torus_xy_next(topology, node, dst, in_vc, came_from)]
-
-    return next_hops
+    """Wrap-aware XY with the dateline escape VC (XY alone below 2 VCs)."""
+    return relation(ALGORITHMS["xy"], RoutingContext(topology, vc_count))

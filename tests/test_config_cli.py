@@ -234,12 +234,24 @@ def test_cli_check_deadlock(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert check(["check-deadlock", "--config", cfg, "--algorithm", "xy"]) \
         == "deadlock-free: true"
-    assert check(["check-deadlock", "--config", cfg, "--algorithm", "dyxy"]) \
-        == "deadlock-free: true"
+    # DyXY's two minimal options per hop close turn cycles; the verdict
+    # comes with one witness cycle of channels
+    dyxy = check(["check-deadlock", "--config", cfg, "--algorithm", "dyxy"])
+    assert dyxy.splitlines()[0] == "deadlock-free: false"
+    assert dyxy.splitlines()[1].startswith("cycle: (")
+    for algorithm, verdict in (
+        ("neighborhood", "true"), ("hierarchical", "true"),
+        ("greedy", "false"), ("greedy_fallback", "false"),
+    ):
+        out = check(["check-deadlock", "--config", cfg, "--algorithm", algorithm])
+        assert out.splitlines()[0] == f"deadlock-free: {verdict}", algorithm
     torus_cfg = write_config(tmp_path, BASE.replace("mesh", "torus"), "t.cfg")
     assert check(
         ["check-deadlock", "--config", torus_cfg, "--algorithm", "xy", "--vcs", "1"]
-    ) == "deadlock-free: false"
+    ) == (
+        "deadlock-free: false\n"
+        "cycle: (0, 1, 0) -> (1, 2, 0) -> (2, 3, 0) -> (3, 0, 0) -> (0, 1, 0)"
+    )
     assert check(
         ["check-deadlock", "--config", torus_cfg, "--algorithm", "xy", "--vcs", "2"]
     ) == "deadlock-free: true"

@@ -122,7 +122,7 @@ def loaded_config(algorithm="xy", rate=0.1, seed=1, **kw):
     )
 
 
-@pytest.mark.parametrize("algorithm", engine.ALGORITHMS)
+@pytest.mark.parametrize("algorithm", routing.ALGORITHMS)
 def test_identical_configs_serialize_identically(algorithm):
     t = topo.mesh(6, 6) if algorithm != "dyxy" else topo.mesh(6, 6)
     cfg = loaded_config(algorithm=algorithm)
@@ -539,4 +539,4 @@ def test_route_tables_give_the_smallest_neighborhood_route(case):
                 expected = min(routing.neighborhood_routes(view, src, dst))
             except Unreachable:
                 expected = ()
-            assert sim._first_route(src, dst) == expected
+            assert sim.ctx.first_route(src, dst) == expected

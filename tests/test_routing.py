@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nocsim import addressing, routing, topology as topo
+from nocsim import addressing, engine, routing, topology as topo
 from nocsim.errors import (
     BudgetExceeded,
+    ConfigError,
     CoordinateAliasing,
     Unreachable,
     WrongTopologyKind,
@@ -33,6 +34,13 @@ def random_connected_topology(rng, max_nodes=32):
             adj[a].add(b)
             adj[b].add(a)
     return topo.Topology([sorted(s) for s in adj])
+
+
+def grid_distance(t, src, dst):
+    """Manhattan distance on a mesh, wrap-aware on a torus."""
+    (w, h), wrap = t.grid_shape(), t.kind == topo.TORUS
+    d = [abs(a - b) for a, b in zip(t.node_xy(src), t.node_xy(dst))]
+    return sum(min(k, size - k) if wrap else k for k, size in zip(d, (w, h)))
 
 
 def assert_valid_route(view, route, src, dst):
@@ -70,7 +78,7 @@ def test_route_xy_hop_count_is_manhattan_mesh_and_torus():
         for src in range(t.node_count):
             for dst in range(t.node_count):
                 route = routing.route_xy(t, src, dst)
-                assert len(route) - 1 == routing.grid_distance(t, src, dst)
+                assert len(route) - 1 == grid_distance(t, src, dst)
                 assert_valid_route(topo.TopologyView(t), route, src, dst)
 
 
@@ -152,9 +160,18 @@ def test_arithmetic_xy_equals_the_coordinate_helper_reference():
 
 # -- DyXY --------------------------------------------------------------------
 
+def dyxy_choice(t, src, dst, occupancy):
+    """The next node DyXY takes from src: its table entry's options, picked
+    by the buffered flits in ``occupancy``."""
+    dyxy = routing.ALGORITHMS["dyxy"]
+    options = dyxy.options(routing.RoutingContext(t), src, dst, None, None)
+    return dyxy.pick(options, lambda v: occupancy.get(v, 0))[0]
+
+
 def test_dyxy_arrived():
     t = topo.mesh(4, 4)
-    assert routing.next_hop_dyxy(t, 5, 5, {}) is routing.ARRIVED
+    dyxy = routing.ALGORITHMS["dyxy"]
+    assert dyxy.options(routing.RoutingContext(t), 5, 5, None, None) == []
 
 
 def test_dyxy_always_minimal():
@@ -165,23 +182,23 @@ def test_dyxy_always_minimal():
         if src == dst:
             continue
         occ = {v: rng.randint(0, 8) for v in t.neighbors(src)}
-        d = routing.next_hop_dyxy(t, src, dst, occ)
-        assert d.kind == "forward"
-        assert routing.grid_distance(t, d.node, dst) == \
-            routing.grid_distance(t, src, dst) - 1
+        nxt = dyxy_choice(t, src, dst, occ)
+        assert t.has_link(src, nxt)
+        assert grid_distance(t, nxt, dst) == \
+            grid_distance(t, src, dst) - 1
 
 
 def test_dyxy_prefers_less_congested_ties_to_x():
     t = topo.mesh(4, 4)
     # from (0,0) to (1,1): X neighbor is 1, Y neighbor is 4
-    assert routing.next_hop_dyxy(t, 0, 5, {1: 3, 4: 1}).node == 4
-    assert routing.next_hop_dyxy(t, 0, 5, {1: 1, 4: 3}).node == 1
-    assert routing.next_hop_dyxy(t, 0, 5, {1: 2, 4: 2}).node == 1  # tie -> X
+    assert dyxy_choice(t, 0, 5, {1: 3, 4: 1}) == 4
+    assert dyxy_choice(t, 0, 5, {1: 1, 4: 3}) == 1
+    assert dyxy_choice(t, 0, 5, {1: 2, 4: 2}) == 1  # tie -> X
 
 
 def test_dyxy_wrong_kind():
-    with pytest.raises(WrongTopologyKind):
-        routing.next_hop_dyxy(topo.torus(4, 4), 0, 5, {})
+    with pytest.raises(ConfigError):
+        routing.lookup("dyxy", topo.TORUS)
 
 
 # -- greedy advance ----------------------------------------------------------
@@ -377,7 +394,7 @@ def test_fallback_minimal_on_fault_free_mesh():
                 continue
             route = routing.greedy_with_fallback(cmap, view, src, dst)
             assert_valid_route(view, route, src, dst)
-            assert len(route) - 1 == routing.grid_distance(t, src, dst)
+            assert len(route) - 1 == grid_distance(t, src, dst)
 
 
 def test_fallback_routes_around_obstacle():
@@ -505,15 +522,24 @@ def test_torus_xy_next_resets_vc_on_dimension_switch():
     assert (nxt, vc) == (4, 0)
 
 
-def test_dyxy_relation_matches_zero_congestion_projection():
-    t = topo.mesh(4, 4)
-    rel_dyxy = routing.dyxy_relation(t)
-    rel_xy = routing.xy_relation(t)
-    for src in range(16):
-        for dst in range(16):
-            if src == dst:
-                continue
-            assert rel_dyxy(src, dst, None, None) == rel_xy(src, dst, None, None)
+def test_dyxy_options_are_minimal_adaptive_in_x_first_order():
+    """On a mesh DyXY chooses among exactly the minimal-adaptive options,
+    the X neighbour listed first."""
+    for w, h in ((4, 4), (5, 3), (1, 4), (6, 1)):
+        t = topo.mesh(w, h)
+        dyxy = routing.relation(routing.ALGORITHMS["dyxy"], routing.RoutingContext(t))
+        minimal = routing.minimal_adaptive_relation(t)
+        for src in range(t.node_count):
+            for dst in range(t.node_count):
+                if src == dst:
+                    continue
+                options = dyxy(src, dst, None, None, None)
+                assert options == minimal(src, dst, None, None, None)
+                x, y = t.node_xy(src)
+                dx, dy = t.node_xy(dst)
+                expected = [t.xy_node(x + (dx > x) - (dx < x), y)] if x != dx else []
+                expected += [t.xy_node(x, y + (dy > y) - (dy < y))] if y != dy else []
+                assert [nxt for nxt, _, _ in options] == expected
 
 
 def test_cdg_nodes_cover_all_directed_links():
@@ -524,33 +550,48 @@ def test_cdg_nodes_cover_all_directed_links():
 
 
 def networkx_cdg(t, relation, vc_count):
-    """The CDG by a second construction: every channel's dependencies per
-    destination, kept only where the channel is reachable from an
-    injection channel (networkx descendants)."""
+    """The CDG by a second construction: per destination, the graph of
+    routing states reached from the injection states (networkx
+    descendants), projected onto its channels."""
     channels = [(u, v, vc) for u in range(t.node_count)
                 for v in t.neighbors(u) for vc in range(vc_count)]
     g = nx.DiGraph()
     g.add_nodes_from(channels)
     for dst in range(t.node_count):
         state = nx.DiGraph()
-        for u, v, vc in channels:
-            if v != dst:
-                for nxt, out_vc in relation(v, dst, vc, u):
-                    state.add_edge((u, v, vc), (v, nxt, out_vc))
-        injected = {(src, nxt, vc) for src in range(t.node_count) if src != dst
-                    for nxt, vc in relation(src, dst, None, None)}
+        injected = {(src, *option) for src in range(t.node_count) if src != dst
+                    for option in relation(src, dst, None, None, None)}
+        todo, expanded = list(injected), set()
+        while todo:
+            s = todo.pop()
+            u, v, vc, mode = s
+            if v == dst or s in expanded:
+                continue
+            expanded.add(s)
+            for option in relation(v, dst, vc, u, mode):
+                state.add_edge(s, (v, *option))
+                todo.append((v, *option))
         reached = set(injected)
-        for ch in injected:
-            if ch in state:
-                reached |= nx.descendants(state, ch)
-        g.add_nodes_from(injected)
-        g.add_edges_from((a, b) for a, b in state.edges if a in reached)
+        for s in injected:
+            if s in state:
+                reached |= nx.descendants(state, s)
+        g.add_nodes_from(s[:3] for s in reached)
+        g.add_edges_from((a[:3], b[:3]) for a, b in state.edges if a in reached)
     return g
+
+
+def table_relation(name, vc_count=1, anchor_count=3, center_count=2):
+    """Algorithm ``name`` of the routing table as a relation on t."""
+    def make(t):
+        algorithm = routing.ALGORITHMS[name]
+        ctx = engine.routing_context(algorithm, t, vc_count, anchor_count, center_count)
+        return routing.relation(algorithm, ctx)
+    return make
 
 
 CDG_CASES = {
     "xy mesh 4x3": (topo.mesh(4, 3), routing.xy_relation, 1),
-    "dyxy mesh 3x3": (topo.mesh(3, 3), routing.dyxy_relation, 1),
+    "dyxy mesh 3x3": (topo.mesh(3, 3), table_relation("dyxy"), 1),
     "minimal adaptive mesh 3x4": (topo.mesh(3, 4), routing.minimal_adaptive_relation, 1),
     "xy torus 4x3 1 VC": (topo.torus(4, 3), routing.xy_relation, 1),
     "dateline torus 4x4": (
@@ -560,6 +601,20 @@ CDG_CASES = {
     "minimal adaptive torus 3x3": (topo.torus(3, 3), routing.minimal_adaptive_relation, 1),
     "minimal adaptive ring 6": (topo.ring(6), routing.minimal_adaptive_relation, 1),
     "minimal adaptive ring 7, 2 VCs": (topo.ring(7), routing.minimal_adaptive_relation, 2),
+    "greedy mesh 4x4": (topo.mesh(4, 4), table_relation("greedy"), 1),
+    "greedy_fallback circulant 9": (
+        topo.circulant(9, (1, 3)), table_relation("greedy_fallback"), 1),
+    "neighborhood torus 3x4": (topo.torus(3, 4), table_relation("neighborhood", 2), 2),
+    "hierarchical circulant 10": (
+        topo.circulant(10, (1, 4)), table_relation("hierarchical"), 1),
+    # two routes to one destination share a channel, then part: the walk
+    # must key its states by the route carried, not by the channel alone
+    "hierarchical 3 centers random 9": (
+        random_connected_topology(random.Random(19), 10),
+        table_relation("hierarchical", center_count=3), 1),
+    "greedy_fallback 2 anchors random 9": (
+        random_connected_topology(random.Random(68), 10),
+        table_relation("greedy_fallback", anchor_count=2), 1),
 }
 
 
@@ -587,4 +642,9 @@ def test_kahn_agrees_with_networkx_on_random_digraphs(edges):
         g.add_edge(a, b)
     assert cdg.number_of_nodes() == g.number_of_nodes()
     assert cdg.number_of_edges() == g.number_of_edges()
-    assert routing.is_deadlock_free(cdg) == nx.is_directed_acyclic_graph(g)
+    cycle = routing.dependency_cycle(cdg)
+    assert (cycle is None) == nx.is_directed_acyclic_graph(g)
+    assert routing.is_deadlock_free(cdg) == (cycle is None)
+    if cycle is not None:
+        assert all(g.has_edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+        assert len(set(cycle)) == len(cycle)

@@ -106,15 +106,11 @@ def default_anchors(topology, k):
     return tuple(anchors)
 
 
-def coordinate_distance(coord_u, coord_v, metric="euclidean"):
-    """Distance between two coordinate vectors; Euclidean by default."""
+def coordinate_distance(coord_u, coord_v):
+    """Euclidean distance between two coordinate vectors."""
     if len(coord_u) != len(coord_v):
         raise DimensionMismatch(f"{len(coord_u)} vs {len(coord_v)} components")
-    if metric == "euclidean":
-        return math.dist(coord_u, coord_v)
-    if metric == "l1":
-        return float(sum(abs(a - b) for a, b in zip(coord_u, coord_v)))
-    raise ValueError(f"unknown metric {metric!r}")
+    return math.dist(coord_u, coord_v)
 
 
 def assign_hierarchical_addresses(topology, centers):

@@ -1,7 +1,7 @@
 """Command-line front end: experiment runs, sweeps, and analysis tools.
 
-Exit codes: 0 success, 1 configuration errors, 2 simulation protocol
-violations (deadlock or livelock detected).
+Exit codes: 0 success, 1 usage or configuration errors, 2 simulation
+protocol violations (deadlock or livelock detected).
 """
 
 from __future__ import annotations
@@ -20,26 +20,12 @@ from .errors import (
     NocError,
 )
 
-CSV_COLUMNS = (
-    "algorithm", "rate", "seed", "delivered", "dropped", "avg_latency",
-    "p99_latency", "throughput", "utilization", "wireless_share",
+# report fields written per variant, and averaged per (algorithm, rate)
+REPORT_COLUMNS = (
+    "delivered", "dropped", "avg_latency", "p99_latency", "throughput",
+    "utilization", "wireless_share",
 )
-
-
-def _fmt(value):
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
-
-
-def _row(algorithm, rate, seed, report):
-    return (
-        algorithm, f"{rate:g}", str(seed),
-        str(report.delivered), str(report.dropped),
-        _fmt(report.avg_latency), _fmt(report.p99_latency),
-        _fmt(report.throughput), _fmt(report.utilization),
-        _fmt(report.wireless_share),
-    )
+CSV_COLUMNS = ("algorithm", "rate", "seed", *REPORT_COLUMNS)
 
 
 def run_sweep(experiment, out_dir):
@@ -71,31 +57,20 @@ def run_sweep(experiment, out_dir):
     with open(results_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for algorithm, rate, seed, report in rows:
-            fh.write(",".join(_row(algorithm, rate, seed, report)) + "\n")
+            values = (engine.format_value(getattr(report, c)) for c in REPORT_COLUMNS)
+            fh.write(",".join((algorithm, f"{rate:g}", str(seed), *values)) + "\n")
 
     groups = {}
     for algorithm, rate, seed, report in rows:
         groups.setdefault((algorithm, rate), []).append(report)
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "algorithm,rate,delivered,dropped,avg_latency,p99_latency,"
-            "throughput,utilization,wireless_share\n"
-        )
+        fh.write(",".join(("algorithm", "rate", *REPORT_COLUMNS)) + "\n")
         for (algorithm, rate), reports in sorted(groups.items()):
-            k = len(reports)
-            mean = lambda attr: sum(getattr(r, attr) for r in reports) / k
-            fh.write(
-                ",".join(
-                    (
-                        algorithm, f"{rate:g}",
-                        _fmt(mean("delivered")), _fmt(mean("dropped")),
-                        _fmt(mean("avg_latency")), _fmt(mean("p99_latency")),
-                        _fmt(mean("throughput")), _fmt(mean("utilization")),
-                        _fmt(mean("wireless_share")),
-                    )
-                )
-                + "\n"
+            means = (
+                engine.format_value(sum(getattr(r, c) for r in reports) / len(reports))
+                for c in REPORT_COLUMNS
             )
+            fh.write(",".join((algorithm, f"{rate:g}", *means)) + "\n")
     return results_path, summary_path
 
 
@@ -103,11 +78,11 @@ def run_sweep(experiment, out_dir):
 # subcommands
 # --------------------------------------------------------------------------
 
-def _load_experiment(args):
-    with open(args.config, encoding="utf-8") as fh:
+def _load_experiment(path, seed=None):
+    with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    return cfgmod.parse_config(text, base_dir, seed_override=args.seed)
+    base_dir = os.path.dirname(os.path.abspath(path))
+    return cfgmod.parse_config(text, base_dir, seed_override=seed)
 
 
 def _load_topology(args):
@@ -115,19 +90,19 @@ def _load_topology(args):
         with open(args.topology, encoding="utf-8") as fh:
             return topo.from_edge_list_text(fh.read())
     if args.config:
-        return _load_experiment(args).template.topology
+        return _load_experiment(args.config).template.topology
     raise ConfigError("need --topology or --config")
 
 
 def cmd_run(args):
-    experiment = _load_experiment(args)
+    experiment = _load_experiment(args.config, args.seed)
     report = engine.run(experiment.template)
     sys.stdout.write(report.serialize())
     return 0
 
 
 def cmd_sweep(args):
-    experiment = _load_experiment(args)
+    experiment = _load_experiment(args.config, args.seed)
     results, summary = run_sweep(experiment, args.out)
     print(f"wrote {results}")
     print(f"wrote {summary}")
@@ -156,7 +131,7 @@ def cmd_check_deadlock(args):
     if args.topology or not args.config:
         topology, vc_count, maps = _load_topology(args), 1, ()
     else:  # the run's own VC count, anchors and centers
-        t = _load_experiment(args).template
+        t = _load_experiment(args.config).template
         topology, vc_count = t.topology, t.resolved_vc_count()
         maps = (t.anchor_count, t.center_count)
     if args.vcs is not None:
@@ -176,7 +151,7 @@ def cmd_check_deadlock(args):
 def cmd_synth(args):
     try:
         result = topo.synthesize(
-            args.n, args.max_degree, args.max_diameter, args.seed or 0, args.budget
+            args.n, args.max_degree, args.max_diameter, args.seed, args.budget
         )
     except Infeasible as exc:
         print(f"infeasible: {exc}")
@@ -210,58 +185,62 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True, topology=False):
-        if config:
-            p.add_argument("--config", help="experiment config file")
-        if topology:
-            p.add_argument("--topology", help="edge-list topology file")
+    def experiment(p):
+        p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--out", default="out", help="output directory")
+
+    def sources(p):
+        p.add_argument("--config", help="experiment config file")
+        p.add_argument("--topology", help="edge-list topology file")
 
     p = sub.add_parser("run", help="run one simulation and print its report")
-    common(p)
+    experiment(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="run a rate/seed/algorithm sweep to CSV")
-    common(p)
+    experiment(p)
+    p.add_argument("--out", default="out", help="output directory")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("routes", help="enumerate all shortest routes")
-    common(p, topology=True)
+    sources(p)
     p.add_argument("--src", type=int, required=True)
     p.add_argument("--dst", type=int, required=True)
     p.add_argument("--budget", type=int, default=routing.DEFAULT_ROUTE_BUDGET)
     p.set_defaults(func=cmd_routes)
 
     p = sub.add_parser("coords", help="dump virtual coordinates")
-    common(p, topology=True)
-    p.add_argument("--anchors", type=int, default=3)
+    sources(p)
+    p.add_argument("--anchors", type=int, default=engine.SimConfig.anchor_count)
     p.set_defaults(func=cmd_coords)
 
     p = sub.add_parser("check-deadlock", help="channel-dependency cycle check")
-    common(p, topology=True)
+    sources(p)
     p.add_argument("--algorithm", default="xy")
     p.add_argument("--vcs", type=int, default=None)
     p.set_defaults(func=cmd_check_deadlock)
 
     p = sub.add_parser("synth", help="constrained topology synthesis")
-    common(p, config=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-degree", type=int, required=True, dest="max_degree")
     p.add_argument("--max-diameter", type=int, required=True, dest="max_diameter")
     p.add_argument("--budget", type=int, default=200)
-    p.set_defaults(func=cmd_synth, out=None)
+    p.add_argument("--seed", type=int, default=0, help="search seed")
+    p.add_argument("--out", default=None, help="output directory (default: stdout)")
+    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("score", help="diameter / average distance / degree")
-    common(p, topology=True)
+    sources(p)
     p.set_defaults(func=cmd_score)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
     except (DeadlockDetected, LivelockDetected) as exc:

@@ -39,8 +39,12 @@ def _str_list(s):
     return tuple(x.strip() for x in s.split(",") if x.strip())
 
 
-# key -> (converter, default); required keys have the REQUIRED marker
+# key -> (converter, default); required keys have the REQUIRED marker.
+# Defaults that the engine or the workload also has are read from there.
 REQUIRED = object()
+_SIM = engine.SimConfig
+_WIRELESS = engine.WirelessConfig
+_TRAFFIC = workload.TrafficSpec
 
 KEYS = {
     "topology.kind": (str, REQUIRED),
@@ -53,29 +57,29 @@ KEYS = {
     "topology.concentration": (int, 1),
     "topology.file": (str, None),
     "routing.algorithm": (str, REQUIRED),
-    "routing.anchors": (int, 3),
-    "routing.centers": (int, 2),
-    "fabric.switching": (str, "wormhole"),
-    "fabric.buffer_depth": (int, 4),
-    "fabric.vc_count": (int, None),
-    "fabric.pipeline": (int, 1),
-    "traffic.pattern": (str, "uniform_random"),
-    "traffic.rate": (float, 0.1),
-    "traffic.packet_length": (int, 4),
-    "traffic.hotspot_node": (int, 0),
-    "traffic.hotspot_fraction": (float, 0.5),
+    "routing.anchors": (int, _SIM.anchor_count),
+    "routing.centers": (int, _SIM.center_count),
+    "fabric.switching": (str, _SIM.switching),
+    "fabric.buffer_depth": (int, _SIM.buffer_depth),
+    "fabric.vc_count": (int, _SIM.vc_count),
+    "fabric.pipeline": (int, _SIM.pipeline),
+    "traffic.pattern": (str, _TRAFFIC.pattern),
+    "traffic.rate": (float, _TRAFFIC.injection_rate),
+    "traffic.packet_length": (int, _TRAFFIC.packet_length),
+    "traffic.hotspot_node": (int, _TRAFFIC.hotspot_node),
+    "traffic.hotspot_fraction": (float, _TRAFFIC.hotspot_fraction),
     "traffic.permutation_file": (str, None),
     "faults.file": (str, None),
-    "wireless.enabled": (_to_bool, False),
-    "wireless.hubs": (_int_list, None),
-    "wireless.threshold": (int, 8),
-    "wireless.w_cycles": (int, 4),
-    "wireless.queue_cap": (int, 1),
-    "sim.warmup_cycles": (int, 10_000),
-    "sim.measure_cycles": (int, 50_000),
-    "sim.drain_cycles": (int, 20_000),
-    "sim.seed": (int, 0),
-    "sim.max_packets": (int, None),
+    "wireless.enabled": (_to_bool, _WIRELESS.enabled),
+    "wireless.hubs": (_int_list, _WIRELESS.hubs),
+    "wireless.threshold": (int, _WIRELESS.distance_threshold),
+    "wireless.w_cycles": (int, _WIRELESS.w_cycles),
+    "wireless.queue_cap": (int, _WIRELESS.queue_cap),
+    "sim.warmup_cycles": (int, _SIM.warmup_cycles),
+    "sim.measure_cycles": (int, _SIM.measure_cycles),
+    "sim.drain_cycles": (int, _SIM.drain_cycles),
+    "sim.seed": (int, _TRAFFIC.seed),
+    "sim.max_packets": (int, _SIM.max_packets),
     "sweep.rates": (_float_list, None),
     "sweep.seeds": (_int_list, None),
     "sweep.algorithms": (_str_list, None),
@@ -223,7 +227,7 @@ def parse_config(text, base_dir=".", seed_override=None):
 
     wireless = engine.WirelessConfig(
         enabled=values["wireless.enabled"],
-        hubs=values["wireless.hubs"] or (),
+        hubs=values["wireless.hubs"],
         distance_threshold=values["wireless.threshold"],
         w_cycles=values["wireless.w_cycles"],
         queue_cap=values["wireless.queue_cap"],

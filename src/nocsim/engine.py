@@ -39,19 +39,18 @@ of the network:
   that fails. Only the slots of a failed router itself are skipped, a test
   made only while some node has failed.
 * Idle cycles. When the active set, the arrivals in flight, the radio
-  queues, the radio channel and the reassembly buffers are all empty, the
-  deadlock check reads no flit, and such an empty network cannot change
-  until the next fault change, preloaded packet or injection hit (hits
-  are found by drawing blocks ahead, up to the end of the injection
-  window). The loop jumps straight to the earliest of these, or to the
-  end; one rule covers the injection window and the drain. An idle radio
-  passes the token once per cycle, so the jump advances it by the skipped
-  cycle count mod the number of hubs.
+  queues and the radio channel are all empty, the deadlock check reads no
+  flit, and such an empty network cannot change until the next fault
+  change, preloaded packet or injection hit (hits are found by drawing
+  blocks ahead, up to the end of the injection window). The loop jumps
+  straight to the earliest of these, or to the end; one rule covers the
+  injection window and the drain. An idle radio passes the token once per
+  cycle, so the jump advances it by the skipped cycle count mod the number
+  of hubs.
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -121,6 +120,11 @@ class SimConfig:
             for h in self.wireless.hubs:
                 if not 0 <= h < self.topology.node_count:
                     raise ConfigError(f"hub {h} not in topology")
+        n = self.topology.node_count
+        for entry in self.preloaded:
+            _, src, dst = entry
+            if src == dst or not (0 <= src < n and 0 <= dst < n):
+                raise ConfigError(f"preloaded packet {entry} needs two distinct nodes")
 
 
 def routing_context(algorithm, view, vc_count,
@@ -151,7 +155,6 @@ class MetricsReport:
     wireless_share: float
     livelock: int
     deadlock: int
-    wall_time: float
 
     SERIAL_KEYS = (
         "delivered", "dropped", "avg_latency", "p99_latency",
@@ -160,14 +163,14 @@ class MetricsReport:
 
     def serialize(self):
         """Flat key=value text block with a fixed key order."""
-        lines = []
-        for key in self.SERIAL_KEYS:
-            value = getattr(self, key)
-            if isinstance(value, float):
-                lines.append(f"{key}={value:.6f}")
-            else:
-                lines.append(f"{key}={value}")
-        return "\n".join(lines) + "\n"
+        return "".join(
+            f"{key}={format_value(getattr(self, key))}\n" for key in self.SERIAL_KEYS
+        )
+
+
+def format_value(value):
+    """A report value as the run report and the sweep CSVs print it."""
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
 @dataclass(frozen=True)
@@ -190,15 +193,8 @@ class Simulation:
         self.pipeline = config.pipeline
         self.vc_count = config.resolved_vc_count()
 
-        # one BFS per node gives the diameter; only wireless admission and
-        # hub choice read the rows afterwards
-        rows = []
-        self.diameter = 0
-        for u in range(self.n):
-            row = self.topo.bfs_distances(u)
-            self.diameter = max(self.diameter, max(row))
-            if config.wireless.enabled:
-                rows.append(row)
+        # one BFS per node gives the diameter
+        self.diameter = max(max(self.topo.bfs_distances(u)) for u in range(self.n))
         self.livelock_bound = max(4 * self.diameter, 4)
         self.deadlock_window = max(10 * self.diameter, 100)
 
@@ -245,13 +241,11 @@ class Simulation:
         if config.wireless.enabled:
             w = config.wireless
             self.wireless = fabric.WirelessHubState(w.hubs, w.w_cycles)
-            self.dist = rows
             # static: hub choice reads wired distances over the base topology
-            hub_dist = {h: rows[h] for h in w.hubs}
+            hub_dist = {h: self.ctx.distance_to(h) for h in w.hubs}
             self.nearest_hub = [
                 self.wireless.nearest_hub(u, hub_dist) for u in range(self.n)
             ]
-            self.reassembly = {}  # pid -> [flits seen, max hop_count]
             # admitted-but-untransmitted packets per entry hub; admission
             # reserves the slot here so stale queue state cannot overshoot
             self.hub_outstanding = {h: 0 for h in w.hubs}
@@ -270,7 +264,8 @@ class Simulation:
         self.livelock_violations = 0
         self.link_busy = {}  # (u, v) -> busy cycles during measurement
         self.pending = []    # (upstream, node, input VC, flit) arriving next cycle
-        self.eject_progress = {}  # packet -> flits consumed before its tail
+        # packet -> flits consumed at its wired target before its tail
+        self.eject_progress = {}
         self.last_progress = 0
 
         self.preloaded = sorted(config.preloaded)
@@ -330,7 +325,6 @@ class Simulation:
 
     def run(self):
         cfg = self.cfg
-        start_wall = time.perf_counter()
         inject_until = cfg.warmup_cycles + cfg.measure_cycles
         total = inject_until + cfg.drain_cycles
         self.measure_start = cfg.warmup_cycles
@@ -382,7 +376,7 @@ class Simulation:
                     self.wireless.pass_token(skip_to - now)
                 now = skip_to
         self._check_conservation()
-        return self._report(time.perf_counter() - start_wall)
+        return self._report()
 
     # -- phases --------------------------------------------------------
 
@@ -419,14 +413,11 @@ class Simulation:
             return
         packet.dropped = True
         self.dropped_packets += 1
-        # flits already consumed at the destination die with the packet
+        # flits already consumed at its wired target die with the packet
         self.dropped_flits += self.eject_progress.pop(packet, 0)
-        if packet.wireless and not packet.reinjected:
+        if packet.dst != packet.final_dst:
             # lost on the way to its entry hub: release the admission slot
             self.hub_outstanding[packet.dst] -= 1
-            partial = self.reassembly.pop(packet.pid, None)
-            if partial is not None:
-                self.dropped_flits += partial[0]
 
     def _discard_flit(self, flit):
         self.dropped_flits += 1
@@ -450,23 +441,20 @@ class Simulation:
         return True  # every arrival is consumed, buffered or discarded
 
     def _consume(self, node, flit, now):
-        """Flit reached its current wired target (final dst or a hub)."""
+        """Flit reached its current wired target (final dst or an entry
+        hub). Every flit follows the head's VCs, so the tail arrives last;
+        it delivers the packet or, at an entry hub, queues it for the radio
+        with the wired hops it took."""
         packet = flit.packet
-        if packet.wireless and node != packet.final_dst:
-            # stage-1 leg: reassemble at the hub, then queue for the radio
-            entry = self.reassembly.setdefault(packet.pid, [0, 0])
-            entry[0] += 1
-            entry[1] = max(entry[1], flit.hop_count)
-            if entry[0] == packet.length:
-                packet.hops = entry[1]
-                del self.reassembly[packet.pid]
-                self.wireless.enqueue(node, packet)
-            return
-        if flit.is_tail:
-            self.eject_progress.pop(packet, None)
-            self._deliver(packet, now)
-        else:
+        if not flit.is_tail:
             self.eject_progress[packet] = self.eject_progress.get(packet, 0) + 1
+            return
+        self.eject_progress.pop(packet, None)
+        if packet.dst != packet.final_dst:
+            packet.hops = flit.hop_count
+            self.wireless.enqueue(node, packet)
+        else:
+            self._deliver(packet, now)
 
     def _deliver(self, packet, now):
         self.delivered_packets += 1
@@ -536,17 +524,22 @@ class Simulation:
 
         if self.wireless is not None:
             self._try_wireless(packet)
-        if packet.dst != src and not self._route_at_injection(packet, src):
-            return
-
-        flits = fabric.make_flits(packet)
-        if packet.wireless and packet.dst == src:
+        if packet.dst == src:
             # the source is itself the entry hub: queue straight for the radio
-            packet.hops = 0
             self.wireless.enqueue(src, packet)
+        else:
+            self._put_on_wires(packet, src, now, 0)
+
+    def _put_on_wires(self, packet, node, now, hop_count):
+        """Queue ``packet`` at ``node``'s local queue, its flits having
+        taken ``hop_count`` hops so far, unless it has no route from there."""
+        if not self._route_at_injection(packet, node):
             return
-        self.routers[src].local.push_packet(flits, now)
-        self.active.add(src)
+        flits = fabric.make_flits(packet)
+        for f in flits:
+            f.hop_count = hop_count
+        self.routers[node].local.push_packet(flits, now)
+        self.active.add(node)
 
     def _try_wireless(self, packet):
         w = self.cfg.wireless
@@ -556,7 +549,7 @@ class Simulation:
         if hub_a == hub_b:
             return
         admitted = fabric.wireless_admission(
-            self.dist[src][dst],
+            self.ctx.distance_to(dst)[src],
             w.distance_threshold,
             self.hub_outstanding[hub_a],
             w.queue_cap,
@@ -569,24 +562,16 @@ class Simulation:
     def _wireless_cycle(self, now):
         ws = self.wireless
         busy_before = ws.busy_until is not None
-        delivered = ws.step(now, lambda p: self.nearest_hub[p.final_dst])
-        progress = bool(delivered) or busy_before != (ws.busy_until is not None)
-        for packet, hub in delivered:
+        delivered = ws.step(now)
+        for packet in delivered:
             self.hub_outstanding[packet.dst] -= 1  # dst is still the entry hub
             packet.dst = packet.final_dst
-            packet.reinjected = True
-            if hub == packet.final_dst:
+            hub = self.nearest_hub[packet.dst]
+            if hub == packet.dst:
                 self._deliver(packet, now)
-                continue
-            if not self._route_at_injection(packet, hub):
-                continue
-            flits = fabric.make_flits(packet)
-            for f in flits:
-                f.hop_count = packet.hops + 1  # the radio hop
-            self.routers[hub].local.push_packet(flits, now)
-            self.active.add(hub)
-            progress = True
-        return progress
+            else:  # one more hop for the radio
+                self._put_on_wires(packet, hub, now, packet.hops + 1)
+        return bool(delivered) or busy_before != (ws.busy_until is not None)
 
     def _send_phase(self, now):
         # looked up per call, not at import, so wrappers installed on the
@@ -730,15 +715,10 @@ class Simulation:
 
     def _network_idle(self):
         """No flit anywhere: no router holds a flit or a binding, nothing
-        is on a link, and the radio has nothing queued, on air or half
-        reassembled."""
+        is on a link, and the radio has nothing queued or on air."""
         ws = self.wireless
         return not self.active and not self.pending and (
-            ws is None or (
-                ws.current_tx is None
-                and not self.reassembly
-                and not any(ws.queues.values())
-            )
+            ws is None or (ws.current_tx is None and not any(ws.queues.values()))
         )
 
     def _flits_in_network(self, routers):
@@ -746,7 +726,7 @@ class Simulation:
         and with the radio. A dropped packet's flits still in a buffer or
         on a link await a lazy discard: they are not work for the deadlock
         detector, and the audit counts them apart. The radio holds whole
-        packets and the halves being reassembled, all movable."""
+        packets, all movable."""
         live = dropped = 0
         for r in routers:
             for f in r.buffered_flits():
@@ -763,8 +743,7 @@ class Simulation:
         if ws is not None:
             live += sum(p.length for q in ws.queues.values() for p in q)
             if ws.current_tx is not None:
-                live += ws.current_tx[0].length
-            live += sum(entry[0] for entry in self.reassembly.values())
+                live += ws.current_tx.length
         return live, dropped
 
     def _check_conservation(self):
@@ -783,7 +762,7 @@ class Simulation:
             )
         self.residual_flits = residual
 
-    def _report(self, wall):
+    def _report(self):
         lat = np.asarray(self.measured_latencies, dtype=float)
         avg = float(lat.mean()) if lat.size else 0.0
         p99 = float(np.percentile(lat, 99)) if lat.size else 0.0
@@ -812,7 +791,6 @@ class Simulation:
             wireless_share=wireless_share,
             livelock=self.livelock_violations,
             deadlock=0,
-            wall_time=wall,
         )
 
 

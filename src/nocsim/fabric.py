@@ -27,7 +27,7 @@ SWITCHING_POLICIES = (SAF, VCT, WORMHOLE)
 class Packet:
     __slots__ = (
         "pid", "src", "dst", "length", "inject_cycle", "measured",
-        "wireless", "reinjected", "route", "route_index", "final_dst",
+        "wireless", "route", "route_index", "final_dst",
         "dropped", "hops",
     )
 
@@ -40,7 +40,6 @@ class Packet:
         self.inject_cycle = inject_cycle
         self.measured = measured
         self.wireless = False
-        self.reinjected = False
         self.dropped = False
         self.hops = 0           # wired hops completed before a radio leg
         self.route = None       # source route (node list) or None
@@ -212,9 +211,9 @@ class WirelessHubState:
     """Single shared radio channel with round-robin token MAC.
 
     At most one hub transmits per cycle; a transmission occupies the channel
-    for ``w_cycles`` and delivers the queued packet to the hub nearest its
-    destination. An idle token holder passes the token in one cycle, and the
-    token also advances after every completed transmission.
+    for ``w_cycles``, after which the engine hands the packet to the hub
+    nearest its destination. An idle token holder passes the token in one
+    cycle, and the token also advances after every completed transmission.
     """
 
     def __init__(self, hubs, w_cycles):
@@ -223,7 +222,7 @@ class WirelessHubState:
         self.token = 0  # index into hubs
         self.queues = {h: deque() for h in self.hubs}
         self.busy_until = None   # first cycle the channel is free again
-        self.current_tx = None   # (packet, dest_hub)
+        self.current_tx = None   # packet on air
 
     def nearest_hub(self, node, hop_dist):
         """Hub minimizing wired hop distance; ties to the lowest hub id."""
@@ -232,9 +231,9 @@ class WirelessHubState:
     def enqueue(self, hub, packet):
         self.queues[hub].append(packet)
 
-    def step(self, now, dest_hub_of):
-        """Advance the MAC one cycle; returns [(packet, dest_hub)] completed
-        this cycle. ``dest_hub_of(packet)`` names the receiving hub."""
+    def step(self, now):
+        """Advance the MAC one cycle; returns the packets whose transmission
+        completed this cycle."""
         delivered = []
         if self.busy_until is not None:
             if now < self.busy_until:
@@ -246,8 +245,7 @@ class WirelessHubState:
         holder = self.hubs[self.token]
         q = self.queues[holder]
         if q:
-            packet = q.popleft()
-            self.current_tx = (packet, dest_hub_of(packet))
+            self.current_tx = q.popleft()
             self.busy_until = now + self.w_cycles
         else:
             self.token = (self.token + 1) % len(self.hubs)

@@ -108,7 +108,7 @@ def torus_xy_next(topology, node, dst, in_vc, came_from):
 # Greedy advance over virtual coordinates
 # --------------------------------------------------------------------------
 
-def next_hop_greedy(coordinate_map, current, dst, alive_neighbors, metric="euclidean"):
+def next_hop_greedy(coordinate_map, current, dst, alive_neighbors):
     """Forward to the alive neighbor strictly closest to the destination in
     coordinate space; ties break to the lowest port index.
 
@@ -119,14 +119,14 @@ def next_hop_greedy(coordinate_map, current, dst, alive_neighbors, metric="eucli
     if current == dst:
         return ARRIVED
     coords = coordinate_map.coords
-    here = coordinate_distance(coords[current], coords[dst], metric)
+    here = coordinate_distance(coords[current], coords[dst])
     if here == 0:
         raise CoordinateAliasing(
             f"node {current} has the coordinate vector of destination {dst}"
         )
     best = None
     for port, node in alive_neighbors:
-        d = coordinate_distance(coords[node], coords[dst], metric)
+        d = coordinate_distance(coords[node], coords[dst])
         if d < here and (best is None or d < best[0]):
             best = (d, port, node)
     if best is None:

@@ -336,9 +336,9 @@ def test_criterion_09_wireless_shortcut_wins():
     intervals = []
     original_step = ws.step
 
-    def audited_step(now, dest_hub_of):
+    def audited_step(now):
         before = ws.current_tx
-        out = original_step(now, dest_hub_of)
+        out = original_step(now)
         if ws.current_tx is not None and ws.current_tx is not before:
             intervals.append((now, ws.busy_until))
         return out

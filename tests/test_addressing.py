@@ -99,15 +99,12 @@ def test_default_anchors_bounds():
 
 def test_coordinate_distance_metrics():
     assert addressing.coordinate_distance((0, 0), (3, 4)) == pytest.approx(5.0)
-    assert addressing.coordinate_distance((0, 0), (3, 4), "l1") == pytest.approx(7.0)
     assert addressing.coordinate_distance((2, 2), (2, 2)) == 0.0
 
 
 def test_coordinate_distance_validation():
     with pytest.raises(DimensionMismatch):
         addressing.coordinate_distance((1, 2), (1, 2, 3))
-    with pytest.raises(ValueError):
-        addressing.coordinate_distance((1,), (2,), metric="chebyshev")
 
 
 @given(

@@ -279,6 +279,24 @@ def test_cli_synth_and_score(tmp_path, capsys):
     assert rc == 0 and out.startswith("infeasible:")
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["routes", "--src", "1"], 1),            # missing --dst
+    (["frobnicate"], 1),                      # unknown subcommand
+    (["synth", "--n", "x", "--max-degree", "3", "--max-diameter", "2"], 1),
+    (["run"], 1),                             # missing --config
+    (["score", "--out", "d"], 1),             # flags that nothing read are gone
+    (["check-deadlock", "--seed", "1"], 1),
+    (["--help"], 0),
+    (["sweep", "--help"], 0),
+])
+def test_cli_usage_errors_exit_1(argv, code, capsys):
+    """A usage error exits 1, like any other configuration error; 2 stays
+    reserved for deadlock and livelock, and --help still exits 0."""
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert "usage:" in (captured.err if code else captured.out)
+
+
 def test_cli_score_values(tmp_path, capsys):
     net = tmp_path / "m.edges"
     net.write_text(topo.to_edge_list_text(topo.mesh(4, 4)))

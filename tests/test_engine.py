@@ -101,6 +101,14 @@ def test_config_rejects_bad_wireless():
         cfg.validate()
 
 
+@pytest.mark.parametrize("entry", [(0, 5, 5), (0, 5, 99), (0, 99, 5), (0, -1, 5), (0, 5, 16)])
+def test_config_rejects_bad_preloaded_packets(entry):
+    """A preloaded packet needs two distinct nodes of the topology; before
+    this check, (0, 5, 99) sent xy around the mesh forever."""
+    with pytest.raises(ConfigError):
+        engine.Simulation(quiet_config(topo.mesh(4, 4), preloaded=(entry,)))
+
+
 def test_default_vc_count_torus_two():
     assert quiet_config(topo.torus(4, 4)).resolved_vc_count() == 2
     assert quiet_config(topo.mesh(4, 4)).resolved_vc_count() == 1
@@ -377,6 +385,70 @@ def test_active_set_matches_a_full_walk_after_every_cycle(case):
     assert report.delivered > 0 and report.residual == 0
     assert seen["busy"] > 100
     assert seen["bound_only"] > 0  # alive routers held only by a bound VC
+
+
+HUB_SOURCE_PRELOADS = tuple(
+    (cycle, hub, dst) for cycle in range(60, 300, 20)
+    for hub, dst in ((7, 35), (28, 0), (22, 5))
+)
+
+CONSERVATION_CASES = {
+    # worms dropped mid-transfer on the way to an entry hub and after it
+    "faulted_wireless_fallback": ACTIVE_SET_CASES["faulted_wireless_fallback"],
+    # packets whose source is their own entry hub go straight to the radio
+    "hub_sources": lambda: faulted_wireless_config(
+        drain_cycles=300, preloaded=HUB_SOURCE_PRELOADS,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSERVATION_CASES))
+def test_flits_are_conserved_after_every_cycle(case):
+    """Every injected flit is delivered, dropped or somewhere in the network
+    (a buffer, a link, the radio, or consumed ahead of its tail at a wired
+    target) at the end of every stepped cycle, not only at the end."""
+    sim = engine.Simulation(CONSERVATION_CASES[case]())
+    send_phase = sim._send_phase
+    enqueue = sim.wireless.enqueue
+    stepped, queued_at_source = [], []
+
+    def audited_send_phase(now):
+        progress = send_phase(now)
+        sim._check_conservation()
+        stepped.append(now)
+        return progress
+
+    def recorded_enqueue(hub, packet):
+        queued_at_source.append(hub == packet.src)
+        enqueue(hub, packet)
+
+    sim._send_phase = audited_send_phase
+    sim.wireless.enqueue = recorded_enqueue
+    report = sim.run()
+    assert report.residual == 0 and report.dropped > 0 and report.wireless_share > 0
+    assert len(stepped) > 200
+    assert any(queued_at_source) and not all(queued_at_source)
+
+
+def test_radio_adds_one_hop_to_the_reinjected_flits():
+    """0 -> 63 on an 8x8 mesh through hubs 9 and 54: the tail brings the
+    first leg's 2 hops to the entry hub, and every flit of the second leg
+    starts at 3 (the radio hop) and reaches the destination at 5."""
+    sim = engine.Simulation(quiet_config(
+        topo.mesh(8, 8), preloaded=((0, 0, 63),),
+        wireless=engine.WirelessConfig(enabled=True, hubs=(9, 54), distance_threshold=4),
+    ))
+    consume = sim._consume
+    seen = []
+
+    def recorded_consume(node, flit, now):
+        seen.append((node, flit.hop_count))
+        consume(node, flit, now)
+
+    sim._consume = recorded_consume
+    report = sim.run()
+    assert report.delivered == 1 and report.wireless_share == 1.0
+    assert seen == [(9, 2)] * 4 + [(63, 5)] * 4
 
 
 def test_idle_drain_jumps_and_keeps_the_report():

@@ -182,19 +182,19 @@ def test_idle_token_rotates_one_hub_per_cycle():
     ws = hub_state()
     for cycle, expected in enumerate([0, 1, 2, 0]):
         assert ws.token == expected
-        assert ws.step(cycle, lambda p: 0) == []
+        assert ws.step(cycle) == []
 
 
 def test_transmission_occupies_channel_w_cycles():
     ws = hub_state(w_cycles=3)
     p = packet(2)
     ws.enqueue(10, p)
-    assert ws.step(0, lambda p: 30) == []   # starts transmitting
+    assert ws.step(0) == []   # starts transmitting
     assert ws.busy_until == 3
-    assert ws.step(1, lambda p: 30) == []
-    assert ws.step(2, lambda p: 30) == []
-    done = ws.step(3, lambda p: 30)
-    assert done == [(p, 30)]
+    assert ws.step(1) == []
+    assert ws.step(2) == []
+    done = ws.step(3)
+    assert done == [p]
     # token passed the transmitter, then the idle next holder in one cycle
     assert ws.token == 2
 
@@ -207,11 +207,11 @@ def test_mac_serializes_competing_hubs():
         ws.enqueue(ws.hubs[i % 3], p)
     delivered = []
     for cycle in range(40):
-        out = ws.step(cycle, lambda p: 0)
+        out = ws.step(cycle)
         assert len(out) <= 1
         assert ws.current_tx is None or ws.busy_until is not None
         delivered += out
-    assert [p.pid for p, _ in delivered] == [0, 1, 2, 3, 4, 5]
+    assert [p.pid for p in delivered] == [0, 1, 2, 3, 4, 5]
     assert not any(ws.queues.values()) and ws.current_tx is None
 
 

@@ -1,6 +1,7 @@
 """Simulation engine: latency model, determinism, faults, and reports."""
 
 import dataclasses
+import hashlib
 from collections import deque
 
 import pytest
@@ -188,6 +189,39 @@ def test_throughput_accounting():
     assert 0 < report.utilization < 1
     for link, util in report.per_link_utilization.items():
         assert 0 <= util <= 1
+
+
+LINK_UTILIZATION_CASES = {
+    # every router busy, two VCs interleaving on each link
+    "saturated_torus_vct": (
+        lambda: quiet_config(
+            topo.torus(4, 4), switching=fabric.VCT,
+            traffic=workload.TrafficSpec(injection_rate=0.3, packet_length=4, seed=3),
+            warmup_cycles=50, measure_cycles=250, drain_cycles=300,
+        ),
+        63, "f9b75f0e824f8d6271f2bb6c97e62872fbcc38c46e852e2f267be0c0dffa745f",
+        0.15093750000000003,
+    ),
+    "faulted_wireless_fallback": (
+        lambda: faulted_wireless_config(drain_cycles=300),
+        112, "6433b335ede8cbe63d6d96802b3d43ee2144a46576a305595fd247736804a7a8",
+        0.04980000000000003,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINK_UTILIZATION_CASES))
+def test_per_link_utilization_is_pinned(case):
+    """``per_link_utilization`` (its sorted items) and ``utilization`` are in
+    no serialized report, so no golden guards them; pinned here from the
+    engine that counted busy cycles per (u, v) link."""
+    make, links, digest, utilization = LINK_UTILIZATION_CASES[case]
+    report = engine.run(make())
+    items = sorted(report.per_link_utilization.items())
+    assert list(report.per_link_utilization.items()) == items
+    assert len(items) == links
+    assert hashlib.sha256(repr(items).encode()).hexdigest() == digest
+    assert report.utilization == utilization
 
 
 # -- faults ------------------------------------------------------------------

@@ -36,8 +36,13 @@ of the network:
   epoch's view, so its link is up and both ends are alive (a failed node
   takes its links down); and a fault change, applied before the arrivals
   of its cycle, drops every packet with a flit on a link or into a node
-  that fails. Only the slots of a failed router itself are skipped, a test
-  made only while some node has failed.
+  that fails. Only the slots of a failed router itself are skipped, by a
+  set lookup in the view's failed nodes. A router with one ready candidate
+  sends it at once and sets that port's round-robin pointer past its slot,
+  as arbitration would; the per-port candidate map, its sort and
+  ``_arbitrate`` are built only when a router has two or more. A send
+  carries its output port and bumps ``port_busy[u][out_port]`` during
+  measurement; ``_report`` maps the counters back to (u, v) links.
 * Idle cycles. When the active set, the arrivals in flight, the radio
   queues and the radio channel are all empty, the deadlock check reads no
   flit, and such an empty network cannot change until the next fault
@@ -121,10 +126,16 @@ class SimConfig:
                 if not 0 <= h < self.topology.node_count:
                     raise ConfigError(f"hub {h} not in topology")
         n = self.topology.node_count
+        inject_until = self.warmup_cycles + self.measure_cycles
         for entry in self.preloaded:
-            _, src, dst = entry
+            cycle, src, dst = entry
             if src == dst or not (0 <= src < n and 0 <= dst < n):
                 raise ConfigError(f"preloaded packet {entry} needs two distinct nodes")
+            if not 0 <= cycle < inject_until:
+                raise ConfigError(
+                    f"preloaded packet {entry} lies outside the injection window "
+                    f"[0, {inject_until})"
+                )
 
 
 def routing_context(algorithm, view, vc_count,
@@ -262,7 +273,8 @@ class Simulation:
         self.measured_delivered_flits = 0
         self.wireless_delivered = 0
         self.livelock_violations = 0
-        self.link_busy = {}  # (u, v) -> busy cycles during measurement
+        # per router and output port, busy cycles during measurement
+        self.port_busy = [[0] * self.topo.degree(u) for u in range(self.n)]
         self.pending = []    # (upstream, node, input VC, flit) arriving next cycle
         # packet -> flits consumed at its wired target before its tail
         self.eject_progress = {}
@@ -578,15 +590,17 @@ class Simulation:
         # fabric module (the benchmark's tracer) see every call
         ready = fabric.flit_ready
         accept = fabric.flow_control_accept
-        policy, pipeline, epoch, view = self.policy, self.pipeline, self.epoch, self.view
-        node_failed = bool(view.failed_nodes)
+        policy, pipeline, epoch = self.policy, self.pipeline, self.epoch
+        failed = self.view.failed_nodes
         measuring = self.measure_start <= now < self.measure_end
-        sends = []  # (router, holder, next_node, downstream VC)
+        sends = []  # (router, holder, next_node, downstream VC, out_port)
         held = {}   # visited router -> slots still holding a flit or a binding
         for u in sorted(self.active):
-            if node_failed and not view.has_node(u):
+            if u in failed:
                 continue
-            wants = {}  # out_port -> [(slot index, holder, next_node, downstream VC)]
+            # ready candidates as (slot index, holder, next_node, downstream
+            # VC, out_port); a list only once a second one shows up
+            first = more = None
             busy = 0
             for i, holder, came_from, in_vc in self.slot_table[u]:
                 q = holder.queue
@@ -621,18 +635,33 @@ class Simulation:
                 # ejection consumes on arrival
                 if nxt != packet.dst and not accept(policy, down, flit, packet.length):
                     continue
-                wants.setdefault(out_port, []).append((i, holder, nxt, down))
+                c = (i, holder, nxt, down, out_port)
+                if first is None:
+                    first = c
+                elif more is None:
+                    more = [first, c]
+                else:
+                    more.append(c)
             held[u] = busy
-            if not wants:
+            if first is None:
                 continue
             router = self.routers[u]
+            if more is None:  # a lone candidate wins its port uncontested
+                i, holder, nxt, down, out_port = first
+                router.rr[out_port] = (i + 1) % len(router.slots)
+                sends.append((u, holder, nxt, down, out_port))
+                continue
+            wants = {}  # out_port -> its candidates
+            for c in more:
+                wants.setdefault(c[4], []).append(c)
             for out_port, candidates in sorted(wants.items()):
                 chosen = candidates[0]
                 if len(candidates) > 1:
                     chosen = self._arbitrate(router, out_port, candidates)
                 router.rr[out_port] = (chosen[0] + 1) % len(router.slots)
                 sends.append((u, *chosen[1:]))
-        for u, holder, nxt, down in sends:
+        port_busy = self.port_busy
+        for u, holder, nxt, down, out_port in sends:
             flit = holder.pop()
             if not holder.queue and holder.bound is None:
                 held[u] -= 1
@@ -646,8 +675,7 @@ class Simulation:
                     )
             self.pending.append((u, nxt, down, flit))
             if measuring:
-                link = (u, nxt)
-                self.link_busy[link] = self.link_busy.get(link, 0) + 1
+                port_busy[u][out_port] += 1
         for u, busy in held.items():
             if not busy:
                 self.active.discard(u)
@@ -770,7 +798,12 @@ class Simulation:
         n_links = sum(self.topo.degree(u) for u in range(self.n))
         util = {
             link: busy / self.cfg.measure_cycles
-            for link, busy in sorted(self.link_busy.items())
+            for link, busy in sorted(
+                ((u, self.topo.neighbors(u)[port]), busy)
+                for u, ports in enumerate(self.port_busy)
+                for port, busy in enumerate(ports)
+                if busy
+            )
         }
         mean_util = sum(util.values()) / n_links if n_links else 0.0
         wireless_share = (

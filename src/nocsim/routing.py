@@ -21,6 +21,7 @@ from .errors import (
     BudgetExceeded,
     ConfigError,
     CoordinateAliasing,
+    InvalidParams,
     Unreachable,
     WrongTopologyKind,
 )
@@ -145,8 +146,12 @@ def neighborhood_routes(view, src, dst, budget=DEFAULT_ROUTE_BUDGET):
     """Two-stage neighborhood method: label every node with its hop distance
     from the source, then walk backward from the destination branching into
     every neighbor labeled exactly one less. Returns the set of all shortest
-    routes; raises BudgetExceeded past the enumeration cap."""
+    routes; raises BudgetExceeded past the enumeration cap and
+    InvalidParams for a node outside the topology."""
     view = _as_view(view)
+    for node in (src, dst):
+        if not 0 <= node < view.node_count:
+            raise InvalidParams(f"node {node} not in 0..{view.node_count - 1}")
     label = view.bfs_distances(src)
     if label[dst] < 0:
         raise Unreachable(f"{dst} not reachable from {src}")

@@ -211,6 +211,19 @@ def test_cli_routes_lists_shortest_paths(tmp_path, capsys):
     assert all(line.startswith("0 ") and line.endswith(" 8") for line in out)
 
 
+@pytest.mark.parametrize("src,dst", [("0", "-1"), ("9", "3")])
+def test_cli_routes_rejects_nodes_outside_the_topology(tmp_path, capsys, src, dst):
+    """On a 4-node line, --dst -1 once printed the route 0 1 2 -1 and
+    --src 9 died with an IndexError."""
+    net = tmp_path / "line.edges"
+    net.write_text(topo.to_edge_list_text(topo.mesh(4, 1)))
+    rc = cli.main(["routes", "--topology", str(net), "--src", src, "--dst", dst])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_cli_coords_dump(tmp_path, capsys):
     net = tmp_path / "m.edges"
     net.write_text(topo.to_edge_list_text(topo.mesh(2, 2)))

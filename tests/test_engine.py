@@ -102,10 +102,14 @@ def test_config_rejects_bad_wireless():
         cfg.validate()
 
 
-@pytest.mark.parametrize("entry", [(0, 5, 5), (0, 5, 99), (0, 99, 5), (0, -1, 5), (0, 5, 16)])
+@pytest.mark.parametrize("entry", [
+    (0, 5, 5), (0, 5, 99), (0, 99, 5), (0, -1, 5), (0, 5, 16), (-5, 1, 14), (200, 0, 15),
+])
 def test_config_rejects_bad_preloaded_packets(entry):
-    """A preloaded packet needs two distinct nodes of the topology; before
-    this check, (0, 5, 99) sent xy around the mesh forever."""
+    """A preloaded packet needs two distinct nodes of the topology and a
+    cycle inside the 200-cycle injection window; before these checks,
+    (0, 5, 99) sent xy around the mesh forever, (-5, 1, 14) was injected at
+    cycle 0 and (200, 0, 15) was never injected."""
     with pytest.raises(ConfigError):
         engine.Simulation(quiet_config(topo.mesh(4, 4), preloaded=(entry,)))
 

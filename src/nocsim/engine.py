@@ -39,8 +39,9 @@ of the network:
   that fails. Only the slots of a failed router itself are skipped, by a
   set lookup in the view's failed nodes. A router with one ready candidate
   sends it at once and sets that port's round-robin pointer past its slot,
-  as arbitration would; the per-port candidate map, its sort and
-  ``_arbitrate`` are built only when a router has two or more. A send
+  as arbitration would. Two or more are sorted stably by output port, so
+  each port's candidates form a run in slot order, and ``_arbitrate``
+  runs only for a run of two or more. A send
   carries its output port and bumps ``port_busy[u][out_port]`` during
   measurement; ``_report`` maps the counters back to (u, v) links.
 * Idle cycles. When the active set, the arrivals in flight, the radio
@@ -52,14 +53,19 @@ of the network:
   injection window and the drain. An idle radio passes the token once per
   cycle, so the jump advances it by the skipped cycle count mod the number
   of hubs.
+
+numpy is imported where a run computes with it, not with this module: in
+``Simulation.__init__`` (the uint64 hit threshold, next to
+``workload.draw0_keys``) and in ``_report`` (mean and 99th percentile of
+the latencies). The analysis commands import this module and never load
+numpy.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-
-import numpy as np
+from operator import itemgetter
 
 from . import fabric, routing, topology as topo, workload
 from .addressing import (
@@ -68,6 +74,8 @@ from .addressing import (
     default_anchors,
 )
 from .errors import ConfigError, DeadlockDetected, LivelockDetected
+
+_out_port = itemgetter(4)  # of a send candidate (slot index, holder, next, VC, port)
 
 
 @dataclass(frozen=True)
@@ -136,6 +144,20 @@ class SimConfig:
                     f"preloaded packet {entry} lies outside the injection window "
                     f"[0, {inject_until})"
                 )
+        if self.max_packets is not None and self.max_packets < 0:
+            raise ConfigError("max_packets must be >= 0")
+        traffic, t = self.traffic, self.topology
+        if traffic.pattern == workload.HOTSPOT and not 0 <= traffic.hotspot_node < n:
+            raise ConfigError(f"hotspot node {traffic.hotspot_node} not in topology")
+        if traffic.pattern == workload.PERMUTATION and (
+            len(traffic.permutation) != n
+            or not all(0 <= dst < n for dst in traffic.permutation)
+        ):
+            raise ConfigError(f"permutation table needs {n} destinations in 0..{n - 1}")
+        if traffic.pattern == workload.TRANSPOSE and not (
+            t.kind in (topo.MESH, topo.TORUS) and len(set(t.grid_shape())) == 1
+        ):
+            raise ConfigError("transpose traffic needs a square mesh or torus")
 
 
 def routing_context(algorithm, view, vc_count,
@@ -286,6 +308,8 @@ class Simulation:
         # inclusive, as 2**64 is no uint64; -1 (no hit) only at rate 0,
         # where nothing is drawn
         hit_max = workload.hit_threshold(spec.injection_rate / spec.packet_length)
+        import numpy as np
+
         self.hit_max = np.uint64(hit_max) if hit_max >= 0 else None
         # draw 0 is evaluated in blocks of about 4096 node-cycles; the hits
         # drawn ahead wait here as (cycle, [nodes in ascending order])
@@ -496,7 +520,7 @@ class Simulation:
             start = self.drawn_until
             stop = min(until, start + self.block_cycles)
             draws = workload.draw0_block(self.draw_keys, start, stop)
-            rows, nodes = np.nonzero(draws <= self.hit_max)  # row-major
+            rows, nodes = (draws <= self.hit_max).nonzero()  # row-major
             for row, node in zip(rows.tolist(), nodes.tolist()):
                 cycle = start + row
                 if hits and hits[-1][0] == cycle:
@@ -651,15 +675,20 @@ class Simulation:
                 router.rr[out_port] = (i + 1) % len(router.slots)
                 sends.append((u, holder, nxt, down, out_port))
                 continue
-            wants = {}  # out_port -> its candidates
-            for c in more:
-                wants.setdefault(c[4], []).append(c)
-            for out_port, candidates in sorted(wants.items()):
-                chosen = candidates[0]
-                if len(candidates) > 1:
-                    chosen = self._arbitrate(router, out_port, candidates)
+            # stable: each port's run of candidates stays in slot order
+            more.sort(key=_out_port)
+            j, count = 0, len(more)
+            while j < count:
+                chosen = more[j]
+                out_port = chosen[4]
+                end = j + 1
+                while end < count and more[end][4] == out_port:
+                    end += 1
+                if end - j > 1:
+                    chosen = self._arbitrate(router, out_port, more[j:end])
                 router.rr[out_port] = (chosen[0] + 1) % len(router.slots)
                 sends.append((u, *chosen[1:]))
+                j = end
         port_busy = self.port_busy
         for u, holder, nxt, down, out_port in sends:
             flit = holder.pop()
@@ -791,6 +820,8 @@ class Simulation:
         self.residual_flits = residual
 
     def _report(self):
+        import numpy as np
+
         lat = np.asarray(self.measured_latencies, dtype=float)
         avg = float(lat.mean()) if lat.size else 0.0
         p99 = float(np.percentile(lat, 99)) if lat.size else 0.0

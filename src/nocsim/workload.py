@@ -3,14 +3,16 @@
 Injection randomness is counter-based: every draw is a pure function of
 (seed, node, cycle, draw index), so the sequence is identical no matter in
 which order nodes are evaluated.
+
+numpy is imported only inside the block draw (``_mix_vector``,
+``draw0_keys``, ``draw0_block``), so importing this module, and the
+analysis commands that do, never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import (
     ConfigError,
@@ -61,6 +63,8 @@ def stream_float(seed, node, cycle, draw=0):
 def _mix_vector(x):
     """``_mix`` over a uint64 array; numpy's uint64 arithmetic wraps mod
     2**64 exactly like the masked Python version."""
+    import numpy as np
+
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return x ^ (x >> np.uint64(31))
@@ -69,6 +73,8 @@ def _mix_vector(x):
 def draw0_keys(seed, node_count):
     """Per-node part of draw 0: the first two mixes of ``stream_u64``
     depend only on (seed, node)."""
+    import numpy as np
+
     h = _mix(seed ^ 0x9E3779B97F4A7C15)
     return np.array([_mix(h ^ node) for node in range(node_count)], dtype=np.uint64)
 
@@ -77,6 +83,8 @@ def draw0_block(keys, start, stop):
     """``stream_u64(seed, node, cycle, 0)`` for every cycle in
     ``[start, stop)`` (rows) and every node (columns) in one evaluation,
     from ``draw0_keys(seed, ...)``; bit-identical to the scalar stream."""
+    import numpy as np
+
     cycles = np.arange(start, stop, dtype=np.uint64) * np.uint64(0xD1B54A32D192ED03)
     h = _mix_vector(keys[np.newaxis, :] ^ cycles[:, np.newaxis])
     return _mix_vector(h)  # draw 0 xors in 0 * 0x8CB92BA72F3D8DD7

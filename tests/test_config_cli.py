@@ -150,6 +150,16 @@ def test_cli_run_unknown_key_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_run_off_grid_hotspot_exit_1(tmp_path, capsys):
+    """A hotspot outside the 4×4 mesh once made xy route forever."""
+    text = BASE + "traffic.pattern = hotspot\ntraffic.hotspot_node = 16\n"
+    rc = cli.main(["run", "--config", write_config(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_cli_run_missing_file_exit_1(tmp_path, capsys):
     rc = cli.main(["run", "--config", str(tmp_path / "absent.cfg")])
     assert rc == 1
@@ -335,14 +345,55 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "networkx"))
 """
 
 
-def test_package_runs_without_networkx(tmp_path):
-    """A run, a deadlock check and a synthesis load no graph library."""
+def run_script(script, *args):
+    """stdout lines of ``script`` run in a fresh interpreter on this
+    checkout's package."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", NO_GRAPH_LIBRARY, write_config(tmp_path)],
+        [sys.executable, "-c", script, *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["deadlock-free: true", "[]"]
+    return proc.stdout.splitlines()
+
+
+def test_package_runs_without_networkx(tmp_path):
+    """A run, a deadlock check and a synthesis load no graph library."""
+    lines = run_script(NO_GRAPH_LIBRARY, write_config(tmp_path))
+    assert lines == ["deadlock-free: true", "[]"]
+
+
+NO_NUMPY_UNTIL_A_RUN = """
+import contextlib, io, sys
+import nocsim
+from nocsim import cli, config, engine
+
+cfg_path, edges_path = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["check-deadlock", "--config", cfg_path],
+        ["check-deadlock", "--topology", edges_path, "--algorithm", "greedy"],
+        ["routes", "--topology", edges_path, "--src", "0", "--dst", "15"],
+        ["score", "--config", cfg_path],
+        ["synth", "--n", "6", "--max-degree", "3", "--max-diameter", "2"],
+        ["coords", "--topology", edges_path],
+    ):
+        assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+with open(cfg_path, encoding="utf-8") as fh:
+    report = engine.run(config.parse_config(fh.read()).template)
+print("numpy" in sys.modules)
+print(repr(report))
+"""
+
+
+def test_analysis_commands_load_no_numpy(tmp_path):
+    """The analysis commands never import numpy; a run does, and its report
+    equals the one from this process."""
+    edges = tmp_path / "m.edges"
+    edges.write_text(topo.to_edge_list_text(topo.mesh(4, 4)))
+    lines = run_script(NO_NUMPY_UNTIL_A_RUN, write_config(tmp_path), str(edges))
+    expected = engine.run(parse(BASE).template)
+    assert lines == ["[]", "True", repr(expected)]

@@ -114,6 +114,50 @@ def test_config_rejects_bad_preloaded_packets(entry):
         engine.Simulation(quiet_config(topo.mesh(4, 4), preloaded=(entry,)))
 
 
+@pytest.mark.parametrize("t,kw", [
+    (topo.mesh(4, 4), dict(pattern=workload.HOTSPOT, hotspot_node=16)),
+    (topo.mesh(4, 4), dict(pattern=workload.HOTSPOT, hotspot_node=99)),
+    (topo.mesh(4, 4), dict(pattern=workload.HOTSPOT, hotspot_node=-1)),
+    (topo.mesh(4, 4), dict(pattern=workload.PERMUTATION, permutation=(20,) * 16)),
+    (topo.mesh(4, 4), dict(pattern=workload.PERMUTATION, permutation=(-1,) + (0,) * 15)),
+    (topo.mesh(4, 4), dict(pattern=workload.PERMUTATION, permutation=(1, 2, 3))),
+    (topo.mesh(4, 4), dict(pattern=workload.PERMUTATION, permutation=tuple(range(17)))),
+    (topo.mesh(4, 2), dict(pattern=workload.TRANSPOSE)),
+    (topo.torus(4, 3), dict(pattern=workload.TRANSPOSE)),
+    (topo.circulant(16, (1, 5)), dict(pattern=workload.TRANSPOSE)),
+])
+def test_config_rejects_destinations_outside_the_topology(t, kw):
+    """Traffic must name nodes of the topology. Before these checks, on a
+    4×4 mesh under xy, an off-grid hotspot or permutation entry sent
+    route_xy around forever, a 3-entry permutation died with an IndexError
+    mid-run, and transpose off a square grid failed at its first injection.
+    greedy accepts every family, so only the traffic check can refuse."""
+    cfg = quiet_config(t, algorithm="greedy", traffic=workload.TrafficSpec(
+        injection_rate=0.1, packet_length=4, **kw,
+    ))
+    with pytest.raises(ConfigError):
+        engine.Simulation(cfg)
+
+
+@pytest.mark.parametrize("t,kw", [
+    (topo.mesh(4, 4), dict(pattern=workload.HOTSPOT, hotspot_node=15)),
+    (topo.mesh(4, 4), dict(pattern=workload.PERMUTATION, permutation=tuple(range(15, -1, -1)))),
+    (topo.mesh(4, 4), dict(pattern=workload.TRANSPOSE)),
+    (topo.torus(4, 4), dict(pattern=workload.TRANSPOSE)),
+])
+def test_config_accepts_destinations_inside_the_topology(t, kw):
+    cfg = quiet_config(t, traffic=workload.TrafficSpec(
+        injection_rate=0.1, packet_length=4, **kw,
+    ))
+    assert engine.run(cfg).delivered > 0
+
+
+def test_config_rejects_a_negative_packet_cap():
+    """max_packets = -1 once silently injected nothing."""
+    with pytest.raises(ConfigError):
+        engine.Simulation(quiet_config(topo.mesh(4, 4), max_packets=-1))
+
+
 def test_default_vc_count_torus_two():
     assert quiet_config(topo.torus(4, 4)).resolved_vc_count() == 2
     assert quiet_config(topo.mesh(4, 4)).resolved_vc_count() == 1

@@ -43,8 +43,8 @@ class CoordinateMap:
 class AddressMap:
     """Per-center BFS shortest-path trees.
 
-    ``entries[node]`` holds one (parent_node, parent_port, depth) triple per
-    center; the center itself has parent (None, None) at depth 0.
+    ``entries[node]`` holds one (parent_node, depth) pair per center; the
+    center itself has parent None at depth 0.
     """
 
     centers: tuple
@@ -54,7 +54,7 @@ class AddressMap:
         return self.entries[node][center_index][0]
 
     def depth(self, node, center_index):
-        return self.entries[node][center_index][2]
+        return self.entries[node][center_index][1]
 
     def path_to_center(self, node, center_index):
         """Node sequence from node up to the center (inclusive)."""
@@ -129,11 +129,5 @@ def assign_hierarchical_addresses(topology, centers):
         if -1 in dist:
             raise Disconnected(f"node {dist.index(-1)} unreachable from center {c}")
         parent[c] = None
-        trees.append([
-            (p, None if p is None else topology.port_to(node, p), dist[node])
-            for node, p in enumerate(parent)
-        ])
-    entries = tuple(
-        tuple(tree[node] for tree in trees) for node in range(topology.node_count)
-    )
-    return AddressMap(centers, entries)
+        trees.append(zip(parent, dist))
+    return AddressMap(centers, tuple(zip(*trees)))

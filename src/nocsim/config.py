@@ -182,10 +182,10 @@ def _parse_permutation(text, n):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ConfigSyntaxError("expected '<src> <dst>'", ln_no, 1)
-        src, dst = int(parts[0]), int(parts[1])
+        try:
+            src, dst = map(int, line.split())
+        except ValueError:  # not two integers
+            raise ConfigSyntaxError("expected '<src> <dst>'", ln_no, 1) from None
         if not (0 <= src < n and 0 <= dst < n):
             raise ConfigError(f"permutation entry {src} {dst} out of range")
         table[src] = dst

@@ -5,6 +5,11 @@ against the buffer/credit state at the start of t; dequeues and link
 traversals are applied afterwards, so the order of the sends never
 matters. Identical configs yield byte-identical reports.
 
+A head is routed by its algorithm's one state transition,
+``routing.Algorithm.next_hops``, which ``check-deadlock``'s dependency
+graph walks too; ``Packet.route`` is that state's route, from the head's
+node on.
+
 The cost of a cycle follows the number of occupied routers, not the size
 of the network:
 
@@ -127,12 +132,15 @@ class SimConfig:
             raise ConfigError("cycle windows must be positive")
         if self.pipeline < 1 or self.buffer_depth < 1 or self.resolved_vc_count() < 1:
             raise ConfigError("fabric constants must be >= 1")
-        if self.wireless.enabled:
-            if len(self.wireless.hubs) < 2:
-                raise ConfigError("wireless overlay needs at least 2 hubs")
-            for h in self.wireless.hubs:
+        w = self.wireless
+        if w.enabled:
+            if len(w.hubs) < 2 or len(set(w.hubs)) != len(w.hubs):
+                raise ConfigError("wireless overlay needs at least 2 distinct hubs")
+            for h in w.hubs:
                 if not 0 <= h < self.topology.node_count:
                     raise ConfigError(f"hub {h} not in topology")
+            if w.w_cycles < 1 or w.queue_cap < 1:
+                raise ConfigError("wireless w_cycles and queue_cap must be >= 1")
         n = self.topology.node_count
         inject_until = self.warmup_cycles + self.measure_cycles
         for entry in self.preloaded:
@@ -269,6 +277,10 @@ class Simulation:
         self.ctx = routing_context(
             self.algo, self.view, self.vc_count, config.anchor_count, config.center_count
         )
+        self.next_hops = routing.relation(self.algo, self.ctx)
+        # over routers, not self: a cycle through self keeps finished sweep runs alive
+        routers = self.routers
+        self.congestion = lambda v: routers[v].congestion()
 
         self.wireless = None
         if config.wireless.enabled:
@@ -323,19 +335,15 @@ class Simulation:
 
     def _decide(self, node, packet, in_vc, came_from):
         """(next_node, out_vc) for the head of ``packet`` at ``node``: the
-        next hop of the route it carries, else the option its algorithm
-        picks; None drops the packet (no route over the alive view)."""
-        if packet.route is None:
-            options = self.algo.options(self.ctx, node, packet.dst, in_vc, came_from)
-            if not options:
-                return None
-            nxt, vc, route = self.algo.pick(
-                options, lambda v: self.routers[v].congestion()
-            )
-            if route is not None:  # switched to source routing from here
-                packet.set_route(route)
-        if packet.route is not None:  # a head is never at its route's end
-            nxt, vc = packet.route[packet.route_index[node] + 1], 0
+        option of its algorithm's transition, picked among two or more,
+        whose route the packet carries on; None drops the packet (no route
+        over the alive view)."""
+        options = self.next_hops(node, packet.dst, in_vc, came_from, packet.route)
+        if not options:
+            return None
+        nxt, vc, packet.route = (
+            options[0] if len(options) == 1 else self.algo.pick(options, self.congestion)
+        )
         return (nxt, vc) if self.view.has_link(node, nxt) else None
 
     def _route_at_injection(self, packet, src):
@@ -344,12 +352,8 @@ class Simulation:
         rather than rerouting it; False, with the packet dropped, when its
         dst is unreachable over the alive view."""
         fix = self.algo.source_route
-        route = fix and fix(self.ctx, src, packet.dst)
-        if route is None:
-            packet.route = packet.route_index = None
-        elif route:
-            packet.set_route(route)
-        else:
+        packet.route = fix and fix(self.ctx, src, packet.dst)
+        if packet.route == ():
             self._drop_packet(packet)
             self.dropped_flits += packet.length
             return False
@@ -499,7 +503,7 @@ class Simulation:
             self.wireless_delivered += 1
         if self.measure_start <= now < self.measure_end:
             self.measured_delivered_flits += packet.length
-        if packet.measured:
+        if self.measure_start <= packet.inject_cycle < self.measure_end:
             self.measured_latencies.append(now - packet.inject_cycle)
 
     def _injection_capped(self):
@@ -550,10 +554,7 @@ class Simulation:
         return progress
 
     def _inject_packet(self, src, dst, now):
-        packet = fabric.Packet(
-            self.next_pid, src, dst, self.cfg.traffic.packet_length, now,
-            measured=self.measure_start <= now < self.measure_end,
-        )
+        packet = fabric.Packet(self.next_pid, src, dst, self.cfg.traffic.packet_length, now)
         self.next_pid += 1
         self.injected_packets += 1
         self.injected_flits += packet.length

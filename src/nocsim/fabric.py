@@ -26,28 +26,21 @@ SWITCHING_POLICIES = (SAF, VCT, WORMHOLE)
 
 class Packet:
     __slots__ = (
-        "pid", "src", "dst", "length", "inject_cycle", "measured",
-        "wireless", "route", "route_index", "final_dst",
-        "dropped", "hops",
+        "pid", "src", "dst", "length", "inject_cycle",
+        "wireless", "route", "final_dst", "dropped", "hops",
     )
 
-    def __init__(self, pid, src, dst, length, inject_cycle, measured=False):
+    def __init__(self, pid, src, dst, length, inject_cycle):
         self.pid = pid
         self.src = src
         self.dst = dst          # current wired target (a hub for wireless legs)
         self.final_dst = dst
         self.length = length
         self.inject_cycle = inject_cycle
-        self.measured = measured
         self.wireless = False
         self.dropped = False
         self.hops = 0           # wired hops completed before a radio leg
-        self.route = None       # source route (node list) or None
-        self.route_index = None  # node -> position lookup for source routes
-
-    def set_route(self, route):
-        self.route = tuple(route)
-        self.route_index = {node: i for i, node in enumerate(self.route)}
+        self.route = None       # source route from the head's node on, or None
 
     def __repr__(self):
         return f"Packet({self.pid}, {self.src}->{self.dst}, len={self.length})"

@@ -3,17 +3,20 @@
 ``ALGORITHMS`` defines each algorithm the engine runs once: XY, DyXY,
 greedy advance over virtual coordinates (alone or with a shortest-route
 fallback), the neighborhood method and hierarchical multi-center routing.
-The engine takes its decisions from an entry and ``build_cdg`` walks every
-state the same entry reaches, so ``check-deadlock`` judges the engine's own
+The engine takes its decisions through an entry's one state transition,
+``Algorithm.next_hops``, and ``build_cdg`` walks every state the same
+transition reaches, so ``check-deadlock`` judges the engine's own
 relation. Routes are loop-free node tuples (source..destination), valid
-over the alive view they were built on; shortest routes come from
-``topology``'s one BFS and lowest-id successor rule. The dependency graph
-is a plain adjacency map tested by Kahn's algorithm: no graph library.
+over the alive view they were built on; a packet carries its route from
+the head's node on. Shortest routes come from ``topology``'s one BFS and
+lowest-id successor rule. The dependency graph is a plain adjacency map
+tested by Kahn's algorithm: no graph library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import topology as topo
 from .addressing import coordinate_distance
@@ -242,12 +245,14 @@ class RoutingContext:
 class Algorithm:
     """One routing algorithm, read alike by the engine and by ``build_cdg``.
 
-    A head's state is (node, dst, in_vc, came_from, mode); mode is the
-    source route its packet carries, followed on VC 0. ``source_route(ctx,
-    src, dst)`` fixes it at injection (() if dst is unreachable) or gives
-    None for routing hop by hop: ``options(ctx, node, dst, in_vc,
-    came_from)`` then lists the (next node, out VC, route or None) a head
-    may take, in order; a route switches to source routing from here on.
+    A head's state is (node, dst, in_vc, came_from, route); route is the
+    source route its packet carries from the head's node on, followed on
+    VC 0. ``source_route(ctx, src, dst)`` fixes it at injection (() if dst
+    is unreachable) or gives None for routing hop by hop: ``options(ctx,
+    node, dst, in_vc, came_from)`` then lists the (next node, out VC, route
+    or None) a head may take, in order; a route, starting at the next node,
+    switches to source routing from there on. ``next_hops`` is the one
+    transition between states.
     """
 
     kinds: tuple = None         # topology kinds it runs on; None: any
@@ -263,6 +268,16 @@ class Algorithm:
         if not self.adaptive:
             return options[0]
         return min(options, key=lambda option: congestion(option[0]))
+
+    def next_hops(self, ctx, node, dst, in_vc, came_from, route):
+        """The (next node, out VC, route from the next node on or None)
+        options of a head in this state; in_vc, came_from and route are
+        None at injection."""
+        if route is None and came_from is None and self.source_route is not None:
+            route = self.source_route(ctx, node, dst)
+        if route is not None:
+            return [(route[1], 0, route[1:])] if len(route) > 1 else []
+        return self.options(ctx, node, dst, in_vc, came_from)
 
 
 def _xy_route(ctx, src, dst):
@@ -295,7 +310,7 @@ def _greedy_fallback(ctx, node, dst, in_vc, came_from):
     if options:
         return options
     route = ctx.first_route(node, dst)
-    return [(route[1], 0, route)] if route else []
+    return [(route[1], 0, route[1:])] if route else []
 
 
 ALGORITHMS = {
@@ -325,18 +340,9 @@ def lookup(name, kind, table=ALGORITHMS):
 
 
 def relation(algorithm, ctx):
-    """``algorithm`` as a ``build_cdg`` relation: every option of every
-    state. A route in a state starts at the state's node."""
-
-    def next_hops(node, dst, in_vc, came_from, route):
-        if route is None and came_from is None and algorithm.source_route is not None:
-            route = algorithm.source_route(ctx, node, dst)
-        if route is not None:
-            return [(route[1], 0, route[1:])] if len(route) > 1 else []
-        options = algorithm.options(ctx, node, dst, in_vc, came_from)
-        return [(nxt, vc, switch and switch[1:]) for nxt, vc, switch in options]
-
-    return next_hops
+    """``algorithm`` as a ``build_cdg`` relation: its state transition
+    ``next_hops`` over ``ctx``."""
+    return partial(algorithm.next_hops, ctx)
 
 
 def _erase_loops(route):
@@ -407,9 +413,10 @@ class ChannelDependencyGraph:
 def build_cdg(topology, next_hops_fn, vc_count=1):
     """Channel dependency graph over (src, dst, vc) virtual channels.
 
-    ``next_hops_fn(node, dst, in_vc, came_from, mode)`` returns the
-    (next_node, out_vc, next_mode) options of a packet at ``node`` heading
-    to ``dst``; ``in_vc``/``came_from``/``mode`` are None at injection.
+    ``next_hops_fn(node, dst, in_vc, came_from, route)`` returns the
+    (next_node, out_vc, next_route) options of a packet at ``node`` heading
+    to ``dst``, ``route`` being the source route it carries from ``node``
+    on, if any; ``in_vc``/``came_from``/``route`` are None at injection.
     Dependencies are collected from the routing states actually reachable
     for each destination.
     """
@@ -424,18 +431,18 @@ def build_cdg(topology, next_hops_fn, vc_count=1):
         for src in range(topology.node_count):
             if src == dst:
                 continue
-            for nxt, vc, mode in next_hops_fn(src, dst, None, None, None):
-                state = (src, nxt, vc, mode)
+            for nxt, vc, route in next_hops_fn(src, dst, None, None, None):
+                state = (src, nxt, vc, route)
                 if state not in seen:
                     seen.add(state)
                     frontier.append(state)
         while frontier:
-            u, v, vc, mode = frontier.pop()
+            u, v, vc, route = frontier.pop()
             if v == dst:
                 continue
-            for nxt, out_vc, out_mode in next_hops_fn(v, dst, vc, u, mode):
+            for nxt, out_vc, out_route in next_hops_fn(v, dst, vc, u, route):
                 g.add_edge((u, v, vc), (v, nxt, out_vc))
-                state = (v, nxt, out_vc, out_mode)
+                state = (v, nxt, out_vc, out_route)
                 if state not in seen:
                     seen.add(state)
                     frontier.append(state)

@@ -119,9 +119,6 @@ class Topology:
         """Hop distance from start to every node; -1 where unreachable."""
         return bfs(self.adjacency, start)
 
-    def is_connected(self):
-        return self.node_count == 0 or -1 not in self.bfs_distances(0)
-
     # -- mesh/torus coordinate helpers ------------------------------------
 
     def grid_shape(self):

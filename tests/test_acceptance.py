@@ -263,7 +263,10 @@ def test_criterion_06_greedy_minimality_and_fallback():
 
 def test_criterion_07_saturation_within_bisection_bound():
     """XY/wormhole/uniform saturation on mesh(8,8) falls in [0.15, 0.25]
-    flits/node/cycle; 0.25 is the analytic bisection cap 2*8/64."""
+    flits/node/cycle. The window fits the engine's measured knee (0.21),
+    below the bisection cap: each direction of a link carries its own
+    flit per cycle, so uniform traffic on a k x k mesh is capped at
+    4/k = 0.5."""
     cfg = engine.SimConfig(
         topology=topo.mesh(8, 8), algorithm="xy",
         traffic=workload.TrafficSpec(injection_rate=0.01, packet_length=4, seed=0),

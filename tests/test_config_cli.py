@@ -98,6 +98,36 @@ def test_parse_complement_pattern():
     assert perm[0] == 15 and perm[15] == 0
 
 
+PERMUTATION = BASE.replace(
+    "traffic.rate = 0.05",
+    "traffic.rate = 0.05\ntraffic.pattern = permutation_file\n"
+    "traffic.permutation_file = perm.txt",
+)
+
+
+def test_parse_permutation_file(tmp_path):
+    (tmp_path / "perm.txt").write_text("# src dst\n0 15\n\n15 0  # swap corners\n5 6\n")
+    traffic = parse(PERMUTATION, base_dir=str(tmp_path)).template.traffic
+    assert traffic.pattern == workload.PERMUTATION
+    # listed entries are applied; unlisted nodes map to themselves
+    assert traffic.permutation == (15, 1, 2, 3, 4, 6, *range(6, 15), 0)
+
+
+@pytest.mark.parametrize("text,line", [("0 15\n5\n", 2), ("0 1 2\n", 1), ("x 3\n", 1)])
+def test_parse_permutation_file_rejects_malformed_lines(tmp_path, text, line):
+    (tmp_path / "perm.txt").write_text(text)
+    with pytest.raises(ConfigSyntaxError) as exc:
+        parse(PERMUTATION, base_dir=str(tmp_path))
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("text", ["0 16\n", "16 0\n", "-1 3\n"])
+def test_parse_permutation_file_rejects_entries_out_of_range(tmp_path, text):
+    (tmp_path / "perm.txt").write_text(text)
+    with pytest.raises(ConfigError, match="out of range"):
+        parse(PERMUTATION, base_dir=str(tmp_path))
+
+
 def test_parse_topology_kinds():
     text = "routing.algorithm = greedy\ntopology.kind = circulant\n" \
         "topology.nodes = 10\ntopology.generators = 1, 3\n"
@@ -153,6 +183,16 @@ def test_cli_run_unknown_key_exit_1(tmp_path, capsys):
 def test_cli_run_off_grid_hotspot_exit_1(tmp_path, capsys):
     """A hotspot outside the 4×4 mesh once made xy route forever."""
     text = BASE + "traffic.pattern = hotspot\ntraffic.hotspot_node = 16\n"
+    rc = cli.main(["run", "--config", write_config(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_cli_run_zero_cycle_radio_exit_1(tmp_path, capsys):
+    """A zero-cycle radio once ran like a one-cycle one."""
+    text = BASE + "wireless.enabled = true\nwireless.hubs = 0, 15\nwireless.w_cycles = 0\n"
     rc = cli.main(["run", "--config", write_config(tmp_path, text)])
     captured = capsys.readouterr()
     assert rc == 1

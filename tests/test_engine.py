@@ -1,15 +1,17 @@
 """Simulation engine: latency model, determinism, faults, and reports."""
 
 import dataclasses
+import gc
 import hashlib
+import weakref
 from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nocsim import engine, fabric, routing, topology as topo, workload
-from nocsim.errors import ConfigError, Unreachable
+from nocsim import cli, engine, fabric, routing, topology as topo, workload
+from nocsim.errors import ConfigError, LivelockDetected, Unreachable
 
 
 def quiet_config(t, algorithm="xy", **kw):
@@ -89,17 +91,20 @@ def test_config_rejects_shallow_buffers_for_vct_saf():
 
 
 def test_config_rejects_bad_wireless():
-    t = topo.mesh(4, 4)
-    cfg = quiet_config(
-        t, wireless=engine.WirelessConfig(enabled=True, hubs=(0,))
-    )
-    with pytest.raises(ConfigError):
-        cfg.validate()
-    cfg = quiet_config(
-        t, wireless=engine.WirelessConfig(enabled=True, hubs=(0, 99))
-    )
-    with pytest.raises(ConfigError):
-        cfg.validate()
+    """Fewer than two hubs, or a hub off the topology, is an error. So are
+    settings that once ran another radio than the one asked for: a
+    w_cycles below 1 ran like a one-cycle radio, a queue_cap below 1
+    silently turned the radio off, and a repeated hub passed the two-hub
+    check with one hub."""
+    radio = engine.WirelessConfig(enabled=True, hubs=(0, 15), distance_threshold=2)
+    for kw in (
+        dict(hubs=(0,)), dict(hubs=(0, 99)), dict(hubs=(5, 5)), dict(hubs=(0, 15, 0)),
+        dict(w_cycles=0), dict(w_cycles=-1), dict(queue_cap=0), dict(queue_cap=-1),
+    ):
+        cfg = quiet_config(topo.mesh(4, 4), wireless=dataclasses.replace(radio, **kw))
+        with pytest.raises(ConfigError):
+            cfg.validate()
+    quiet_config(topo.mesh(4, 4), wireless=radio).validate()
 
 
 @pytest.mark.parametrize("entry", [
@@ -215,6 +220,21 @@ def test_open_loop_run_delivers_everything(switching):
     assert report.avg_latency > 0
 
 
+def test_a_finished_run_is_freed_without_the_cycle_collector():
+    """A sweep runs its variants one after another; a reference cycle
+    through the Simulation would keep each finished run's routers and
+    packets alive until the cycle collector happens to run."""
+    sim = engine.Simulation(loaded_config(algorithm="dyxy"))
+    sim.run()
+    ref = weakref.ref(sim)
+    gc.disable()
+    try:
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_max_packets_caps_injection():
     cfg = loaded_config(max_packets=37)
     report = engine.run(cfg)
@@ -270,6 +290,82 @@ def test_per_link_utilization_is_pinned(case):
     assert len(items) == links
     assert hashlib.sha256(repr(items).encode()).hexdigest() == digest
     assert report.utilization == utilization
+
+
+def bounce(ctx, node, dst, in_vc, came_from):
+    """Back to where the head came from; from its source, to its first
+    neighbour that is not dst. No head ever arrives."""
+    if came_from is None:
+        came_from = next(v for v in ctx.topology.neighbors(node) if v != dst)
+    return [(came_from, 0, None)]
+
+
+@pytest.fixture
+def bouncing(monkeypatch):
+    monkeypatch.setitem(routing.ALGORITHMS, "bounce", routing.Algorithm(options=bounce))
+
+
+def bouncing_config(strict):
+    """One 1-flit packet from 0 to 3 on a 4-node line that bounces between
+    nodes 0 and 1 (hop bound max(4 * diameter, 4) = 12)."""
+    return quiet_config(
+        topo.mesh(4, 1), algorithm="bounce", strict=strict,
+        traffic=workload.TrafficSpec(injection_rate=0.0, packet_length=1),
+        preloaded=((0, 0, 3),),
+    )
+
+
+def test_livelock_raises_when_strict(bouncing):
+    with pytest.raises(LivelockDetected, match="exceeded 12 hops"):
+        engine.run(bouncing_config(strict=True))
+
+
+def test_livelock_is_counted_when_not_strict(bouncing):
+    report = engine.run(bouncing_config(strict=False))  # the audit runs at the end
+    assert report.livelock > 0
+    assert (report.injected, report.delivered, report.dropped) == (1, 0, 0)
+    assert report.residual == 1  # the bouncing flit, still in the network
+
+
+def test_cli_run_livelock_exit_2(bouncing, tmp_path, capsys):
+    path = tmp_path / "bounce.cfg"
+    path.write_text(
+        "topology.kind = mesh\ntopology.width = 4\ntopology.height = 4\n"
+        "routing.algorithm = bounce\ntraffic.rate = 0.05\ntraffic.packet_length = 1\n"
+        "sim.max_packets = 1\n"  # two bouncing packets can block each other
+    )
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert "exceeded" in capsys.readouterr().err
+
+
+# -- the fabric model ----------------------------------------------------------
+
+FABRIC_CASES = {
+    "mesh xy": lambda switching, depth: quiet_config(
+        topo.mesh(6, 6), switching=switching, buffer_depth=depth,
+        traffic=workload.TrafficSpec(injection_rate=0.3, packet_length=4, seed=5),
+        warmup_cycles=100, measure_cycles=500, drain_cycles=300,
+    ),
+    "torus xy 2 VCs": lambda switching, depth: quiet_config(
+        topo.torus(4, 4), switching=switching, buffer_depth=depth, vc_count=2,
+        traffic=workload.TrafficSpec(injection_rate=0.3, packet_length=4, seed=3),
+        warmup_cycles=100, measure_cycles=500, drain_cycles=300,
+    ),
+}
+
+
+@pytest.mark.parametrize("depth", [4, 6])
+@pytest.mark.parametrize("case", sorted(FABRIC_CASES))
+def test_vct_equals_wormhole_when_buffers_hold_a_packet(case, depth):
+    """VC allocation is atomic: a head enters only an unbound VC, which is
+    always empty, so VCT's whole-packet room check passes whenever depth
+    >= packet length and VCT runs exactly as wormhole does."""
+    make = FABRIC_CASES[case]
+    wormhole = engine.run(make(fabric.WORMHOLE, depth))
+    vct = engine.run(make(fabric.VCT, depth))
+    assert vct.serialize() == wormhole.serialize()
+    assert vct.per_link_utilization == wormhole.per_link_utilization
+    assert wormhole.delivered > 100
 
 
 # -- faults ------------------------------------------------------------------

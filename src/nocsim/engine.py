@@ -42,13 +42,18 @@ of the network:
   takes its links down); and a fault change, applied before the arrivals
   of its cycle, drops every packet with a flit on a link or into a node
   that fails. Only the slots of a failed router itself are skipped, by a
-  set lookup in the view's failed nodes. A router with one ready candidate
-  sends it at once and sets that port's round-robin pointer past its slot,
-  as arbitration would. Two or more are sorted stably by output port, so
-  each port's candidates form a run in slot order, and ``_arbitrate``
-  runs only for a run of two or more. A send
-  carries its output port and bumps ``port_busy[u][out_port]`` during
-  measurement; ``_report`` maps the counters back to (u, v) links.
+  set lookup in the view's failed nodes. Flow control is one rule for
+  every switching policy (``fabric.flow_control_accept``). Arbitration is
+  one pass over a router's slots: each output port keeps the ready
+  candidate of smallest round-robin rank ``(i - rr[port]) % n_slots``,
+  then every winner is sent and its port's pointer set past its slot.
+  Winners are sent in the order their ports first show up, not by port;
+  that changes no report byte, since each winner goes to a different
+  neighbour and arrivals at different nodes commute (only which packet a
+  strict livelock abort names could differ, were two flits of one router
+  to pass the bound in the same cycle). A send carries its output port
+  and bumps ``port_busy[u][out_port]`` during measurement; ``_report``
+  maps the counters back to (u, v) links.
 * Idle cycles. When the active set, the arrivals in flight, the radio
   queues and the radio channel are all empty, the deadlock check reads no
   flit, and such an empty network cannot change until the next fault
@@ -70,7 +75,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 
 from . import fabric, routing, topology as topo, workload
 from .addressing import (
@@ -79,8 +83,6 @@ from .addressing import (
     default_anchors,
 )
 from .errors import ConfigError, DeadlockDetected, LivelockDetected
-
-_out_port = itemgetter(4)  # of a send candidate (slot index, holder, next, VC, port)
 
 
 @dataclass(frozen=True)
@@ -244,16 +246,17 @@ class Simulation:
             for u in range(self.n)
         ]
         self.active = set()  # routers holding a queued flit or a bound VC
-        # per router, its slots in arbitration order as (index, holder,
-        # upstream node, input VC); the local queue has neither
-        self.slot_table = [
-            [
-                (i, holder, None, None) if key == "local"
-                else (i, holder, self.topo.neighbors(u)[key[0]], key[1])
-                for i, (key, holder) in enumerate(router.slots)
+        # per router, its slots in the fixed arbitration order as (index,
+        # holder, upstream node, input VC): wired inputs by (port, VC), then
+        # the local queue, which has neither; a slot's index is its rank
+        self.slot_table = []
+        for u, router in enumerate(self.routers):
+            slots = [
+                (holder, self.topo.neighbors(u)[port], vc)
+                for (port, vc), holder in router.inputs.items()
             ]
-            for u, router in enumerate(self.routers)
-        ]
+            slots.append((router.local, None, None))
+            self.slot_table.append([(i, *slot) for i, slot in enumerate(slots)])
         # input VC at the downstream end of every (u, out_port, out_vc)
         self.down_vc = [
             [
@@ -623,11 +626,14 @@ class Simulation:
         for u in sorted(self.active):
             if u in failed:
                 continue
-            # ready candidates as (slot index, holder, next_node, downstream
-            # VC, out_port); a list only once a second one shows up
-            first = more = None
+            slots = self.slot_table[u]
+            n_slots = len(slots)
+            rr = self.routers[u].rr
+            # per output port, the ready candidate it serves next: (round-
+            # robin rank, slot index, holder, next_node, downstream VC)
+            winners = {}
             busy = 0
-            for i, holder, came_from, in_vc in self.slot_table[u]:
+            for i, holder, came_from, in_vc in slots:
                 q = holder.queue
                 if not q:
                     bound = holder.bound
@@ -658,38 +664,16 @@ class Simulation:
                 elif not ready(policy, holder, flit, now, pipeline):
                     continue
                 # ejection consumes on arrival
-                if nxt != packet.dst and not accept(policy, down, flit, packet.length):
+                if nxt != packet.dst and not accept(down, flit):
                     continue
-                c = (i, holder, nxt, down, out_port)
-                if first is None:
-                    first = c
-                elif more is None:
-                    more = [first, c]
-                else:
-                    more.append(c)
+                rank = (i - rr[out_port]) % n_slots
+                w = winners.get(out_port)
+                if w is None or rank < w[0]:
+                    winners[out_port] = (rank, i, holder, nxt, down)
             held[u] = busy
-            if first is None:
-                continue
-            router = self.routers[u]
-            if more is None:  # a lone candidate wins its port uncontested
-                i, holder, nxt, down, out_port = first
-                router.rr[out_port] = (i + 1) % len(router.slots)
+            for out_port, (_, i, holder, nxt, down) in winners.items():
+                rr[out_port] = (i + 1) % n_slots
                 sends.append((u, holder, nxt, down, out_port))
-                continue
-            # stable: each port's run of candidates stays in slot order
-            more.sort(key=_out_port)
-            j, count = 0, len(more)
-            while j < count:
-                chosen = more[j]
-                out_port = chosen[4]
-                end = j + 1
-                while end < count and more[end][4] == out_port:
-                    end += 1
-                if end - j > 1:
-                    chosen = self._arbitrate(router, out_port, more[j:end])
-                router.rr[out_port] = (chosen[0] + 1) % len(router.slots)
-                sends.append((u, *chosen[1:]))
-                j = end
         port_busy = self.port_busy
         for u, holder, nxt, down, out_port in sends:
             flit = holder.pop()
@@ -760,14 +744,6 @@ class Simulation:
             packet.pid, self.epoch, nxt, out_port, self.down_vc[u][out_port][out_vc],
         )
         return holder.decision
-
-    def _arbitrate(self, router, out_port, candidates):
-        """Round-robin winner among candidates contending for one output
-        port, over the router's fixed slot order; a candidate starts with
-        its slot index."""
-        n = len(router.slots)
-        ptr = router.rr[out_port]
-        return min(candidates, key=lambda c: (c[0] - ptr) % n)
 
     # -- accounting ----------------------------------------------------
 

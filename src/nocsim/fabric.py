@@ -1,5 +1,5 @@
 """Cycle-level router fabric: flits, input-queued routers with credit-based
-backpressure, the three buffering policies, and the wireless hub overlay
+backpressure, the three switching policies, and the wireless hub overlay
 with its token-passing MAC.
 
 Timing model (unit flits, unit-width links):
@@ -9,6 +9,14 @@ Timing model (unit flits, unit-width links):
     in the same buffer, so the head leaves at tail_arrival + P.
 This yields the zero-load closed forms H*(F+P) for SAF and
 H*(1+P) + (F-1) for wormhole and virtual cut-through.
+
+Flow control is one rule, ``flow_control_accept``, for all three
+policies. SAF differs from the others only in readiness (``flit_ready``),
+and SAF and VCT differ from wormhole only in the buffer depth they
+require (``buffer_depth >= packet_length``, checked by
+``SimConfig.validate``). A head enters only a VC bound to no packet, which
+is empty, so at that depth the whole packet always fits: the
+whole-packet room check of SAF and VCT needs no code of its own.
 """
 
 from __future__ import annotations
@@ -109,29 +117,17 @@ class InputVC:
         return flit
 
 
-def flow_control_accept(policy, buffer_state, flit, packet_length):
-    """Downstream acceptance rule for one incoming flit.
-
-    SAF and VCT accept a head only when the whole packet fits; wormhole
-    accepts any flit into a single free slot. Body/tail flits of the bound
-    packet are always accepted (space was reserved or freed ahead of them);
-    a body flit with no bound packet is a protocol violation.
-    """
-    if policy not in SWITCHING_POLICIES:
-        raise ValueError(f"unknown switching policy {policy!r}")
+def flow_control_accept(vc, flit):
+    """Downstream acceptance rule for one incoming flit, the same under
+    every switching policy (the module docstring says why): a head takes a
+    VC bound to no packet, and a body or tail flit takes a free slot in its
+    own packet's VC. A body flit with no bound packet is a protocol
+    violation."""
     if flit.is_head:
-        if buffer_state.bound is not None and buffer_state.bound is not flit.packet:
-            return False
-        if policy in (SAF, VCT):
-            return buffer_state.free_slots >= packet_length
-        return buffer_state.free_slots >= 1
-    if buffer_state.bound is None:
+        return vc.bound is None
+    if vc.bound is None:
         raise ProtocolViolation("body flit with no bound packet")
-    if buffer_state.bound is not flit.packet:
-        return False
-    if policy in (SAF, VCT):
-        return True  # space reserved at head acceptance
-    return buffer_state.free_slots >= 1
+    return vc.bound is flit.packet and vc.free_slots > 0
 
 
 def flit_ready(policy, vc_state, flit, now, pipeline):
@@ -185,10 +181,9 @@ class RouterState:
             for vc in range(vc_count)
         }
         self.local = LocalQueue()
-        # (key, holder) in the fixed arbitration order: wired inputs by
-        # (port, vc), then the local queue; a slot's index is its rank
-        self.slots = [*self.inputs.items(), ("local", self.local)]
-        self.rr = [0] * n_ports  # round-robin pointer per output port
+        # round-robin pointer per output port, a slot index in the
+        # engine's arbitration order (``Simulation.slot_table``)
+        self.rr = [0] * n_ports
 
     def congestion(self):
         """Total wired buffered flits; feeds DyXY's occupancy signal."""

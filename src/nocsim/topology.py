@@ -396,21 +396,27 @@ def to_edge_list_text(topology):
 
 
 def from_edge_list_text(text, kind=CUSTOM):
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("nodes "):
+    """Parse ``to_edge_list_text``'s format; ``InvalidParams`` names the
+    first malformed line."""
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0][0] != "nodes":
         raise InvalidParams("edge list must start with 'nodes N'")
     try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
+        (n,) = map(int, lines[0][1:])
+    except ValueError as exc:
         raise InvalidParams("bad node count line") from exc
+    if n < 1:
+        raise InvalidParams(f"node count {n} must be >= 1")
     adj = [[] for _ in range(n)]
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise InvalidParams(f"bad edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+    for parts in lines[1:]:
+        try:
+            u, v = map(int, parts)
+        except ValueError as exc:
+            raise InvalidParams(f"bad edge line {' '.join(parts)!r}") from exc
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidParams(f"edge {u} {v} out of range")
+        if u == v:
+            raise InvalidParams(f"self-loop at node {u}")
         adj[u].append(v)
         adj[v].append(u)
     return Topology(adj, kind)

@@ -200,6 +200,15 @@ def test_cli_run_zero_cycle_radio_exit_1(tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
+def test_cli_run_unknown_switching_exit_1(tmp_path, capsys):
+    text = BASE + "fabric.switching = circuit\n"
+    rc = cli.main(["run", "--config", write_config(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_cli_run_missing_file_exit_1(tmp_path, capsys):
     rc = cli.main(["run", "--config", str(tmp_path / "absent.cfg")])
     assert rc == 1
@@ -367,6 +376,24 @@ def test_cli_score_values(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "diameter=6" in out and "edge_count=24" in out
+
+
+@pytest.mark.parametrize("edges", ["nodes 3\n1 x\n", "nodes 0\n", "nodes 3\n1 1\n"],
+                         ids=["non_integer_endpoint", "zero_nodes", "self_loop"])
+def test_cli_malformed_topology_file_exit_1(edges, tmp_path, capsys):
+    """Given to ``score`` directly or through ``topology.kind = file``."""
+    (tmp_path / "bad.edges").write_text(edges)
+    cfg_path = write_config(
+        tmp_path,
+        "topology.kind = file\ntopology.file = bad.edges\nrouting.algorithm = greedy\n",
+    )
+    for argv in (["score", "--topology", str(tmp_path / "bad.edges")],
+                 ["score", "--config", cfg_path],
+                 ["run", "--config", cfg_path]):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 NO_GRAPH_LIBRARY = """

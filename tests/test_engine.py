@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nocsim import cli, engine, fabric, routing, topology as topo, workload
-from nocsim.errors import ConfigError, LivelockDetected, Unreachable
+from nocsim.errors import ConfigError, DeadlockDetected, LivelockDetected, Unreachable
 
 
 def quiet_config(t, algorithm="xy", **kw):
@@ -88,6 +88,29 @@ def test_config_rejects_shallow_buffers_for_vct_saf():
         )
         with pytest.raises(ConfigError):
             cfg.validate()
+
+
+def test_config_rejects_an_unknown_switching_mode():
+    """The only guard: ``fabric.flow_control_accept`` no longer looks at
+    the switching mode."""
+    with pytest.raises(ConfigError, match="circuit"):
+        quiet_config(topo.mesh(4, 4), switching="circuit").validate()
+
+
+@pytest.mark.parametrize("window", [
+    dict(warmup_cycles=-1), dict(measure_cycles=0), dict(drain_cycles=-1),
+])
+def test_config_rejects_bad_cycle_windows(window):
+    with pytest.raises(ConfigError, match="cycle windows"):
+        quiet_config(topo.mesh(4, 4), **window).validate()
+
+
+@pytest.mark.parametrize("constant", [
+    dict(pipeline=0), dict(buffer_depth=0), dict(vc_count=0),
+])
+def test_config_rejects_fabric_constants_below_one(constant):
+    with pytest.raises(ConfigError, match="fabric constants"):
+        quiet_config(topo.mesh(4, 4), **constant).validate()
 
 
 def test_config_rejects_bad_wireless():
@@ -358,14 +381,104 @@ FABRIC_CASES = {
 @pytest.mark.parametrize("case", sorted(FABRIC_CASES))
 def test_vct_equals_wormhole_when_buffers_hold_a_packet(case, depth):
     """VC allocation is atomic: a head enters only an unbound VC, which is
-    always empty, so VCT's whole-packet room check passes whenever depth
-    >= packet length and VCT runs exactly as wormhole does."""
+    always empty, so whenever depth >= packet length the whole packet fits
+    and VCT runs exactly as wormhole does."""
     make = FABRIC_CASES[case]
     wormhole = engine.run(make(fabric.WORMHOLE, depth))
     vct = engine.run(make(fabric.VCT, depth))
     assert vct.serialize() == wormhole.serialize()
     assert vct.per_link_utilization == wormhole.per_link_utilization
     assert wormhole.delivered > 100
+
+
+INVARIANT_FAMILIES = {
+    topo.MESH: st.builds(topo.mesh, st.integers(2, 4), st.integers(2, 4)),
+    topo.TORUS: st.builds(topo.torus, st.integers(3, 4), st.integers(3, 4)),
+    topo.CIRCULANT: st.builds(
+        lambda n, s: topo.circulant(n, (1, s)), st.integers(6, 9), st.integers(2, 3)
+    ),
+}
+
+
+@st.composite
+def flow_control_configs(draw, kind, switching):
+    """Small runs of every algorithm on one family under one switching
+    mode, with buffers that just hold a packet, hold more, or (wormhole)
+    hold less, 1-2 VCs, faults that fail and heal, and the radio."""
+    t = draw(INVARIANT_FAMILIES[kind])
+    algorithm = draw(st.sampled_from(sorted(
+        name for name, a in routing.ALGORITHMS.items()
+        if a.kinds is None or kind in a.kinds
+    )))
+    length = draw(st.sampled_from((3, 4)))
+    depths = (length, length + 2) + ((2,) if switching == fabric.WORMHOLE else ())
+    elements = st.one_of(
+        st.builds(lambda u: ("node", u), st.integers(0, t.node_count - 1)),
+        st.sampled_from([("link", u, v) for u, v in t.undirected_edges()]),
+    )
+    events = draw(st.lists(
+        st.tuples(elements, st.integers(0, 150), st.integers(1, 100)), max_size=2,
+    ))
+    radio = draw(st.booleans())
+    return engine.SimConfig(
+        topology=t,
+        algorithm=algorithm,
+        traffic=workload.TrafficSpec(
+            injection_rate=draw(st.sampled_from((0.1, 0.3, 0.6))),
+            packet_length=length,
+            seed=draw(st.integers(0, 50)),
+        ),
+        switching=switching,
+        buffer_depth=draw(st.sampled_from(depths)),
+        vc_count=draw(st.sampled_from((1, 2))),
+        fault_schedule=workload.FaultSchedule(tuple(
+            workload.FaultEvent(e, down, down + span) for e, down, span in events
+        )),
+        wireless=engine.WirelessConfig(
+            enabled=radio, hubs=(0, t.node_count - 1) if radio else (),
+            distance_threshold=2,
+        ),
+        warmup_cycles=20,
+        measure_cycles=300,
+        drain_cycles=100,
+        strict=False,
+    )
+
+
+@pytest.mark.parametrize("switching", fabric.SWITCHING_POLICIES)
+@pytest.mark.parametrize("kind", sorted(INVARIANT_FAMILIES))
+@given(data=st.data())
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_a_head_only_ever_meets_an_empty_unbound_vc(kind, switching, data):
+    """``fabric.flow_control_accept`` is one rule for every switching mode
+    because of two facts, checked here on every call: an unbound VC is
+    empty, and a head never meets its own packet's binding. So a head that
+    is let in finds ``depth`` free slots, and under SAF and VCT, which
+    require depth >= packet length, the whole packet fits. A VC model that
+    lets a head in behind another packet must fail this and bring a room
+    check back."""
+    config = data.draw(flow_control_configs(kind, switching))
+    accept = fabric.flow_control_accept
+    calls = []
+
+    def checked(vc, flit):
+        if vc.bound is None:
+            assert not vc.queue
+        if flit.is_head:
+            assert vc.bound is not flit.packet
+        accepted = accept(vc, flit)
+        if accepted and flit.is_head and switching != fabric.WORMHOLE:
+            assert vc.depth - len(vc.queue) >= flit.packet.length
+        calls.append(accepted)
+        return accepted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fabric, "flow_control_accept", checked)
+        try:
+            engine.run(config)
+        except DeadlockDetected:
+            pass  # the calls up to the stall still count
+    assert any(calls)
 
 
 # -- faults ------------------------------------------------------------------

@@ -60,34 +60,29 @@ def head_of(p):
     return fabric.make_flits(p)[0]
 
 
-def test_saf_vct_head_needs_full_packet_space():
-    for policy in (fabric.SAF, fabric.VCT):
-        vc = fabric.InputVC(depth=4)
-        assert fabric.flow_control_accept(policy, vc, head_of(packet(4)), 4)
-        assert not fabric.flow_control_accept(policy, vc, head_of(packet(5)), 5)
-
-
 def test_wormhole_head_needs_one_slot():
+    """A head takes a VC bound to no packet, under every switching policy."""
     vc = fabric.InputVC(depth=1)
-    assert fabric.flow_control_accept(fabric.WORMHOLE, vc, head_of(packet(8)), 8)
+    assert fabric.flow_control_accept(vc, head_of(packet(8)))
     vc.push(head_of(packet(8, pid=9)), 0)
-    assert not fabric.flow_control_accept(fabric.WORMHOLE, vc, head_of(packet(8)), 8)
+    assert not fabric.flow_control_accept(vc, head_of(packet(8)))
 
 
 def test_head_rejected_while_bound_to_other_packet():
     vc = fabric.InputVC(depth=8)
     vc.push(head_of(packet(4, pid=1)), 0)
-    for policy in fabric.SWITCHING_POLICIES:
-        assert not fabric.flow_control_accept(policy, vc, head_of(packet(2, pid=2)), 2)
+    assert not fabric.flow_control_accept(vc, head_of(packet(2, pid=2)))
 
 
 def test_bound_body_always_accepted_under_reservation():
+    """At depth >= packet length, which SAF and VCT require, a bound
+    packet's body always finds a free slot."""
     vc = fabric.InputVC(depth=4)
     p = packet(4)
     flits = fabric.make_flits(p)
-    vc.push(flits[0], 0)
-    for policy in (fabric.SAF, fabric.VCT):
-        assert fabric.flow_control_accept(policy, vc, flits[1], 4)
+    for cycle, flit in enumerate(flits):
+        assert fabric.flow_control_accept(vc, flit)
+        vc.push(flit, cycle)
 
 
 def test_wormhole_body_needs_slot():
@@ -95,23 +90,23 @@ def test_wormhole_body_needs_slot():
     p = packet(3)
     flits = fabric.make_flits(p)
     vc.push(flits[0], 0)
-    assert not fabric.flow_control_accept(fabric.WORMHOLE, vc, flits[1], 3)
+    assert not fabric.flow_control_accept(vc, flits[1])
     vc.pop()
-    assert fabric.flow_control_accept(fabric.WORMHOLE, vc, flits[1], 3)
+    assert fabric.flow_control_accept(vc, flits[1])
 
 
 def test_foreign_body_on_bound_vc_rejected():
     vc = fabric.InputVC(depth=8)
     vc.push(head_of(packet(4, pid=1)), 0)
     other = fabric.make_flits(packet(4, pid=2))[1]
-    for policy in fabric.SWITCHING_POLICIES:
-        assert not fabric.flow_control_accept(policy, vc, other, 4)
+    assert not fabric.flow_control_accept(vc, other)
 
 
-def test_unknown_policy_rejected():
+def test_orphan_body_is_a_protocol_violation():
     vc = fabric.InputVC(depth=4)
-    with pytest.raises(ValueError):
-        fabric.flow_control_accept("circuit", vc, head_of(packet(1)), 1)
+    body = fabric.make_flits(packet(3))[1]
+    with pytest.raises(ProtocolViolation):
+        fabric.flow_control_accept(vc, body)
 
 
 # -- readiness ---------------------------------------------------------------

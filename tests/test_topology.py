@@ -228,6 +228,19 @@ def test_edge_list_rejects_malformed():
         topo.from_edge_list_text("nodes 2\n0 5\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("nodes 3\n1 x\n", "bad edge line '1 x'"),  # escaped as a bare ValueError
+    ("nodes 0\n", "node count 0"),             # score divided by zero
+    ("nodes -2\n", "node count -2"),
+    ("nodes 3 4\n", "bad node count line"),
+    ("nodes 3\n1 1\n", "self-loop at node 1"),  # was called a duplicate link
+], ids=["non_integer_endpoint", "zero_nodes", "negative_nodes", "extra_count",
+        "self_loop"])
+def test_edge_list_rejects_bad_outside_input(text, message):
+    with pytest.raises(InvalidParams, match=message):
+        topo.from_edge_list_text(text)
+
+
 # -- Synthesis ---------------------------------------------------------------
 
 def test_moore_bound_values():

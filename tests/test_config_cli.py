@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from nocsim import cli, config as cfgmod, engine, topology as topo, workload
+from nocsim import cli, config as cfgmod, engine, routing, topology as topo, workload
 from nocsim.errors import (
     ConfigError,
     ConfigSyntaxError,
@@ -327,6 +327,51 @@ def test_cli_check_deadlock(tmp_path, capsys):
     assert check(
         ["check-deadlock", "--config", torus_cfg, "--algorithm", "xy", "--vcs", "2"]
     ) == "deadlock-free: true"
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+DEADLOCK_FAMILIES = {  # family: (kind, config text)
+    "mesh 8x8": (topo.MESH, "topology.width = 8\ntopology.height = 8\n"),
+    "torus 8x8": (topo.TORUS, "topology.width = 8\ntopology.height = 8\n"),
+    "circulant 32 (1, 5)": (
+        topo.CIRCULANT, "topology.nodes = 32\ntopology.generators = 1, 5\n"
+    ),
+}
+
+
+def pinned_deadlock_table():
+    """``golden/check_deadlock.txt`` as {(family, algorithm): output}."""
+    with open(os.path.join(GOLDEN, "check_deadlock.txt"), encoding="utf-8") as fh:
+        blocks = fh.read().split("== ")[1:]
+    table = {}
+    for block in blocks:
+        header, output = block.split("\n", 1)
+        family, algorithm = header.rsplit(" ", 1)
+        table[(family, algorithm)] = output
+    return table
+
+
+DEADLOCK_TABLE = pinned_deadlock_table()
+
+
+def test_deadlock_table_covers_every_relation_on_each_family():
+    assert sorted(DEADLOCK_TABLE) == sorted(
+        (family, name)
+        for family, (kind, _) in DEADLOCK_FAMILIES.items()
+        for name, algorithm in routing.RELATIONS.items()
+        if algorithm.kinds is None or kind in algorithm.kinds
+    )
+
+
+@pytest.mark.parametrize("family,algorithm", sorted(DEADLOCK_TABLE))
+def test_check_deadlock_output_is_pinned(tmp_path, capsys, family, algorithm):
+    """Verdict and witness cycle of every relation on three families at the
+    config's default VCs (2 on the torus, 1 elsewhere)."""
+    kind, text = DEADLOCK_FAMILIES[family]
+    # the run's own algorithm only has to be valid on the family
+    cfg = write_config(tmp_path, f"topology.kind = {kind}\n{text}routing.algorithm = greedy\n")
+    assert cli.main(["check-deadlock", "--config", cfg, "--algorithm", algorithm]) == 0
+    assert capsys.readouterr().out == DEADLOCK_TABLE[(family, algorithm)]
 
 
 def test_cli_synth_and_score(tmp_path, capsys):

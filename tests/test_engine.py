@@ -509,14 +509,17 @@ def test_transient_fault_heals():
     assert report.delivered == 1 and report.dropped == 0
 
 
-def test_source_routed_packet_dropped_when_route_dies():
+@pytest.mark.parametrize("algorithm", ["xy", "neighborhood"])
+def test_source_routed_packet_dropped_when_route_dies(algorithm):
+    """neighborhood fixes the route at injection; xy, routed hop by hop,
+    ignores faults and so steps onto the same dead link."""
     t = topo.mesh(4, 1)
     sched = workload.FaultSchedule(
         (workload.FaultEvent(("link", 1, 2), 4, workload.INFINITY),)
     )
     # the only path 0..3 crosses the link that dies while the packet travels
     cfg = quiet_config(
-        t, fault_schedule=sched, preloaded=((0, 0, 3),),
+        t, algorithm, fault_schedule=sched, preloaded=((0, 0, 3),),
         traffic=workload.TrafficSpec(injection_rate=0.0, packet_length=8),
         buffer_depth=2,
     )

@@ -158,6 +158,25 @@ def test_arithmetic_xy_equals_the_coordinate_helper_reference():
                     ), (t, src, dst, in_vc, up)
 
 
+@pytest.mark.parametrize("w,h", [(5, 3), (1, 6), (6, 1), (4, 4)])
+def test_xy_relation_walks_route_xy_on_a_mesh(w, h):
+    """From every source to every destination, the xy entry's one option
+    per hop follows route_xy node for node, on VC 0."""
+    t = topo.mesh(w, h)
+    next_hops = routing.xy_relation(t)
+    for src in range(t.node_count):
+        for dst in range(t.node_count):
+            walk, in_vc, came_from, route = [src], None, None, None
+            while walk[-1] != dst:
+                options = next_hops(walk[-1], dst, in_vc, came_from, route)
+                assert len(options) == 1
+                came_from = walk[-1]
+                nxt, in_vc, route = options[0]
+                assert in_vc == 0
+                walk.append(nxt)
+            assert tuple(walk) == routing.route_xy(t, src, dst)
+
+
 # -- DyXY --------------------------------------------------------------------
 
 def dyxy_choice(t, src, dst, occupancy):

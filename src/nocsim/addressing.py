@@ -91,13 +91,15 @@ def default_anchors(topology, k):
 
     Each next anchor maximizes the minimum hop distance to the chosen set;
     ties break toward the lowest node id. Anchors for k are a prefix of
-    anchors for k+1.
+    anchors for k+1. Raises Disconnected when a node is unreachable.
     """
     n = topology.node_count
     if not 1 <= k <= n:
         raise KTooLarge(f"k={k} outside 1..{n}")
     anchors = [0]
     min_dist = topology.bfs_distances(0)
+    if -1 in min_dist:
+        raise Disconnected(f"node {min_dist.index(-1)} unreachable from node 0")
     while len(anchors) < k:
         best = max(range(n), key=lambda u: (min_dist[u], -u))
         anchors.append(best)

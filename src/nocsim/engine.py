@@ -157,6 +157,8 @@ class SimConfig:
         if self.max_packets is not None and self.max_packets < 0:
             raise ConfigError("max_packets must be >= 0")
         traffic, t = self.traffic, self.topology
+        if traffic.injection_rate > 0 and n < 2:
+            raise ConfigError("traffic needs at least 2 nodes")
         if traffic.pattern == workload.HOTSPOT and not 0 <= traffic.hotspot_node < n:
             raise ConfigError(f"hotspot node {traffic.hotspot_node} not in topology")
         if traffic.pattern == workload.PERMUTATION and (

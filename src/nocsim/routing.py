@@ -6,10 +6,13 @@ fallback), the neighborhood method and hierarchical multi-center routing.
 The engine takes its decisions through an entry's one state transition,
 ``Algorithm.next_hops``, and ``build_cdg`` walks every state the same
 transition reaches, so ``check-deadlock`` judges the engine's own
-relation. Routes are loop-free node tuples (source..destination), valid
-over the alive view they were built on; a packet carries its route from
-the head's node on. Shortest routes come from ``topology``'s one BFS and
-lowest-id successor rule. The dependency graph is a plain adjacency map
+relation. XY, DyXY and greedy advance route hop by hop, XY on meshes and
+tori alike; only the neighborhood method and hierarchical routing (and
+greedy_fallback past a local minimum) carry a source route. Routes are
+loop-free node tuples (source..destination), valid over the alive view
+they were built on; a packet carries its route from the head's node on.
+Shortest routes come from ``topology``'s one BFS and lowest-id successor
+rule. The dependency graph is a plain adjacency map
 tested by Kahn's algorithm: no graph library.
 """
 
@@ -209,13 +212,19 @@ def hierarchical_route(address_map, src, dst):
 # --------------------------------------------------------------------------
 
 class RoutingContext:
-    """What routing reads besides the packet: the base topology, the alive
-    view, the VC count, an algorithm's address maps, and per-destination
-    tables (base hop distances; shortest successors over the view)."""
+    """What routing reads besides the packet: the base topology and its
+    grid shape, the alive view, the VC count, an algorithm's address maps,
+    and per-destination tables (base hop distances; shortest successors
+    over the view)."""
 
     def __init__(self, view, vc_count=1, coordinates=None):
         self.view = _as_view(view)
         self.topology = self.view.base
+        # (width, height) of a mesh or torus, else None
+        self.grid = (
+            self.topology.grid_shape()
+            if self.topology.kind in (topo.MESH, topo.TORUS) else None
+        )
         self.vc_count = vc_count
         self.coordinates = coordinates
         self.addresses = None
@@ -280,14 +289,17 @@ class Algorithm:
         return self.options(ctx, node, dst, in_vc, came_from)
 
 
-def _xy_route(ctx, src, dst):
-    # a mesh route is fixed at injection; a torus picks dateline VCs per hop
-    return route_xy(ctx.topology, src, dst) if ctx.topology.kind == topo.MESH else None
-
-
-def _torus_xy(ctx, node, dst, in_vc, came_from):
-    nxt, vc = torus_xy_next(ctx.topology, node, dst, in_vc, came_from)
-    return [(nxt, min(vc, ctx.vc_count - 1), None)]
+def _xy(ctx, node, dst, in_vc, came_from):
+    # a torus picks dateline VCs; a mesh steps X until the column matches,
+    # then Y, on VC 0
+    if ctx.topology.kind == topo.TORUS:
+        nxt, vc = torus_xy_next(ctx.topology, node, dst, in_vc, came_from)
+        return [(nxt, min(vc, ctx.vc_count - 1), None)]
+    w, h = ctx.grid
+    step = _axis_steps(node % w, dst % w, w, False)
+    if not step:
+        step = w * _axis_steps(node // w, dst // w, h, False)
+    return [(node + step, 0, None)]
 
 
 def _minimal(ctx, node, dst, in_vc, came_from):
@@ -314,7 +326,7 @@ def _greedy_fallback(ctx, node, dst, in_vc, came_from):
 
 
 ALGORITHMS = {
-    "xy": Algorithm(kinds=(topo.MESH, topo.TORUS), source_route=_xy_route, options=_torus_xy),
+    "xy": Algorithm(kinds=(topo.MESH, topo.TORUS), options=_xy),
     "dyxy": Algorithm(kinds=(topo.MESH,), options=_minimal, adaptive=True),
     "greedy": Algorithm(options=_greedy, coordinates=True),
     "greedy_fallback": Algorithm(options=_greedy_fallback, coordinates=True),
@@ -393,11 +405,8 @@ class ChannelDependencyGraph:
     def nodes(self):
         return self.waits_on.keys()
 
-    def add_node(self, channel):
-        self.waits_on.setdefault(channel, set())
-
     def add_edge(self, channel, next_channel):
-        self.add_node(next_channel)
+        self.waits_on.setdefault(next_channel, set())
         self.waits_on.setdefault(channel, set()).add(next_channel)
 
     def has_edge(self, channel, next_channel):
@@ -418,13 +427,15 @@ def build_cdg(topology, next_hops_fn, vc_count=1):
     to ``dst``, ``route`` being the source route it carries from ``node``
     on, if any; ``in_vc``/``came_from``/``route`` are None at injection.
     Dependencies are collected from the routing states actually reachable
-    for each destination.
+    for each destination; every channel a state occupies is a node, even
+    one outside the topology's links and VCs.
     """
     g = ChannelDependencyGraph()
+    waits_on = g.waits_on
     for u in range(topology.node_count):
         for v in topology.neighbors(u):
             for vc in range(vc_count):
-                g.add_node((u, v, vc))
+                waits_on[(u, v, vc)] = set()
     for dst in range(topology.node_count):
         seen = set()
         frontier = []
@@ -438,10 +449,13 @@ def build_cdg(topology, next_hops_fn, vc_count=1):
                     frontier.append(state)
         while frontier:
             u, v, vc, route = frontier.pop()
+            deps = waits_on.get((u, v, vc))
+            if deps is None:
+                deps = waits_on[(u, v, vc)] = set()
             if v == dst:
                 continue
             for nxt, out_vc, out_route in next_hops_fn(v, dst, vc, u, route):
-                g.add_edge((u, v, vc), (v, nxt, out_vc))
+                deps.add((v, nxt, out_vc))
                 state = (v, nxt, out_vc, out_route)
                 if state not in seen:
                     seen.add(state)

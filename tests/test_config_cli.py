@@ -441,6 +441,42 @@ def test_cli_malformed_topology_file_exit_1(edges, tmp_path, capsys):
         assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("rate,code", [("1.0", 1), ("0.1", 1), ("0", 0)])
+def test_cli_run_traffic_on_one_node(rate, code, tmp_path, capsys):
+    """Uniform traffic on a lone node once died dividing by n - 1; with
+    no traffic the run still finishes."""
+    (tmp_path / "one.edges").write_text("nodes 1\n")
+    text = (
+        "topology.kind = file\ntopology.file = one.edges\n"
+        f"routing.algorithm = neighborhood\ntraffic.rate = {rate}\n"
+    )
+    rc = cli.main(["run", "--config", write_config(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert rc == code
+    if code:
+        assert captured.out == ""
+        assert captured.err == "error: traffic needs at least 2 nodes\n"
+    else:
+        assert captured.out.startswith("delivered=0\n")
+
+
+def test_cli_disconnected_topology_exit_1(tmp_path, capsys):
+    """Anchor placement once ran out of reachable nodes and blamed the
+    anchors: "anchors (0, 1, 0) contain duplicates"."""
+    (tmp_path / "split.edges").write_text("nodes 4\n0 1\n2 3\n")
+    cfg_path = write_config(
+        tmp_path,
+        "topology.kind = file\ntopology.file = split.edges\nrouting.algorithm = greedy\n",
+    )
+    for argv in (["run", "--config", cfg_path],
+                 ["coords", "--config", cfg_path],
+                 ["check-deadlock", "--config", cfg_path, "--algorithm", "greedy"]):
+        assert cli.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: node 2 unreachable from node 0\n", argv
+
+
 NO_GRAPH_LIBRARY = """
 import sys
 import nocsim

@@ -256,12 +256,12 @@ class Algorithm:
 
     A head's state is (node, dst, in_vc, came_from, route); route is the
     source route its packet carries from the head's node on, followed on
-    VC 0. ``source_route(ctx, src, dst)`` fixes it at injection (() if dst
-    is unreachable) or gives None for routing hop by hop: ``options(ctx,
-    node, dst, in_vc, came_from)`` then lists the (next node, out VC, route
-    or None) a head may take, in order; a route, starting at the next node,
-    switches to source routing from there on. ``next_hops`` is the one
-    transition between states.
+    VC 0. ``source_route(ctx, src, dst)``, where an algorithm has one,
+    fixes it at injection (() if dst is unreachable). Without one a head
+    routes hop by hop: ``options(ctx, node, dst, in_vc, came_from)`` lists
+    the (next node, out VC, route or None) a head may take, in order; a
+    route, starting at the next node, switches to source routing from
+    there on. ``next_hops`` is the one transition between states.
     """
 
     kinds: tuple = None         # topology kinds it runs on; None: any

@@ -369,7 +369,8 @@ def test_check_deadlock_output_is_pinned(tmp_path, capsys, family, algorithm):
     config's default VCs (2 on the torus, 1 elsewhere)."""
     kind, text = DEADLOCK_FAMILIES[family]
     # the run's own algorithm only has to be valid on the family
-    cfg = write_config(tmp_path, f"topology.kind = {kind}\n{text}routing.algorithm = greedy\n")
+    text = f"topology.kind = {kind}\n{text}routing.algorithm = greedy\n"
+    cfg = write_config(tmp_path, text)
     assert cli.main(["check-deadlock", "--config", cfg, "--algorithm", algorithm]) == 0
     assert capsys.readouterr().out == DEADLOCK_TABLE[(family, algorithm)]
 

@@ -1,0 +1,150 @@
+"""Record a parent-versus-change benchmark comparison as ``BENCH_<pr>.json``.
+
+    python3 scripts/bench_record.py --parent DIR --change DIR --pr N [--out FILE]
+
+``DIR`` is a checkout in which ``bench/run.py --trace 0`` has been run,
+once per (workload, seed); each run left
+``bench/results/<workload>_seed<N>_trace0.json``. Runs of the two
+checkouts are paired by (workload, seed). For every workload and every
+end-to-end metric of ``BENCHMARK.json`` the record holds both sides'
+median and quartiles over the paired runs' medians, the pair count and
+the number of pairs in which the change did better. It also holds the
+failed-op counts, the host (nproc, CPU, Python, numpy) and the net line
+count of ``src/``. Writes ``BENCH_<N>.json`` at the root of this
+repository unless ``--out`` says otherwise, and never under ``bench/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import json
+import os
+import statistics
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HOST_KEYS = ("nproc", "cpu_model", "python", "numpy")
+
+
+def load_runs(checkout):
+    """{(workload, seed): results file} of a checkout's untraced runs."""
+    runs = {}
+    pattern = os.path.join(checkout, "bench", "results", "*_trace0.json")
+    for path in sorted(glob.glob(pattern)):
+        with open(path, encoding="utf-8") as fh:
+            result = json.load(fh)
+        runs[(result["workload"], result["seed"])] = result
+    return runs
+
+
+def spread(values):
+    """Median and quartiles, as ``bench/run.py`` summarizes its jobs."""
+    if len(values) > 1:
+        q1, median, q3 = statistics.quantiles(values, n=4)
+    else:
+        q1 = median = q3 = values[0]
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def src_lines(checkout):
+    """Lines of every ``.py`` file under the checkout's ``src/``."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "**", "*.py"), recursive=True):
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return total
+
+
+def host(runs):
+    """The host fields of the runs' environments, one entry per distinct one."""
+    seen = []
+    for result in runs.values():
+        env = {key: result["environment"].get(key) for key in HOST_KEYS}
+        if env not in seen:
+            seen.append(env)
+    return seen
+
+
+def compare(parent_runs, change_runs, metrics):
+    """Per workload and metric: both sides' spreads, pairs and change wins."""
+    workloads = {}
+    for key in sorted(parent_runs.keys() & change_runs.keys()):
+        workloads.setdefault(key[0], []).append(key)
+    table = {}
+    for workload, keys in workloads.items():
+        row = table[workload] = {
+            "seeds": [seed for _, seed in keys],
+            "failed": {
+                "parent": sum(parent_runs[k]["failed"] for k in keys),
+                "change": sum(change_runs[k]["failed"] for k in keys),
+            },
+            "metrics": {},
+        }
+        for name, better in metrics:
+            parent = [parent_runs[k]["stats"][name]["median"] for k in keys]
+            change = [change_runs[k]["stats"][name]["median"] for k in keys]
+            wins = sum(
+                (c < p) if better == "lower" else (c > p) for p, c in zip(parent, change)
+            )
+            row["metrics"][name] = {
+                "parent": spread(parent), "change": spread(change),
+                "pairs": len(keys), "change_better": wins,
+            }
+    return table
+
+
+def record(parent, change, pr):
+    """The ``BENCH_<pr>.json`` object for two checkouts' results."""
+    with open(os.path.join(change, "BENCHMARK.json"), encoding="utf-8") as fh:
+        metrics = [(m["name"], m["better"]) for m in json.load(fh)["end_to_end"]]
+    parent_runs, change_runs = load_runs(parent), load_runs(change)
+    paired = parent_runs.keys() & change_runs.keys()
+    parent_lines, change_lines = src_lines(parent), src_lines(change)
+    return {
+        "pr": pr,
+        "workloads": compare(parent_runs, change_runs, metrics),
+        "unpaired": sorted(
+            [side, *key]
+            for side, runs in (("parent", parent_runs), ("change", change_runs))
+            for key in runs.keys() - paired
+        ),
+        "host": {"parent": host(parent_runs), "change": host(change_runs)},
+        "src_lines": {
+            "parent": parent_lines, "change": change_lines,
+            "net": change_lines - parent_lines,
+        },
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="parent checkout")
+    parser.add_argument("--change", required=True, help="change checkout")
+    parser.add_argument("--pr", required=True, type=int, help="number in the file name")
+    parser.add_argument("--out", help="output file (default: BENCH_<pr>.json at the root)")
+    args = parser.parse_args(argv)
+
+    out = os.path.abspath(args.out or os.path.join(ROOT, f"BENCH_{args.pr}.json"))
+    bench_dir = os.path.join(ROOT, "bench") + os.sep
+    if out.startswith(bench_dir):
+        print(f"error: {out} lies under bench/", file=sys.stderr)
+        return 1
+    result = record(args.parent, args.change, args.pr)
+    if not result["workloads"]:
+        print("error: no (workload, seed) run in both checkouts", file=sys.stderr)
+        return 1
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=1)
+        fh.write("\n")
+    for workload, row in result["workloads"].items():
+        for name, m in row["metrics"].items():
+            print(f"{workload} {name}: {m['parent']['median']:.6g} -> "
+                  f"{m['change']['median']:.6g}, change better in "
+                  f"{m['change_better']}/{m['pairs']}")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

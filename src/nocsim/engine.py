@@ -64,15 +64,17 @@ of the network:
   cycle, so the jump advances it by the skipped cycle count mod the number
   of hubs.
 
-numpy is imported where a run computes with it, not with this module: in
-``Simulation.__init__`` (the uint64 hit threshold, next to
-``workload.draw0_keys``) and in ``_report`` (mean and 99th percentile of
-the latencies). The analysis commands import this module and never load
-numpy.
+numpy is imported only in ``Simulation.__init__`` (the uint64 hit
+threshold, next to ``workload.draw0_keys``), not with this module, so the
+analysis commands, which import it, never load numpy. The report's mean
+and 99th percentile latency are computed in plain Python
+(``latency_stats``), bit-identical to numpy's, so a run never loads
+``numpy.ma``, which ``np.percentile`` imports.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -238,8 +240,10 @@ class Simulation:
         self.pipeline = config.pipeline
         self.vc_count = config.resolved_vc_count()
 
-        # one BFS per node gives the diameter
-        self.diameter = max(max(self.topo.bfs_distances(u)) for u in range(self.n))
+        # the diameter: the eccentricity of corner 0 on a mesh and of any
+        # node on a (vertex-transitive) torus, else the largest over all nodes
+        sources = (0,) if self.topo.kind in (topo.MESH, topo.TORUS) else range(self.n)
+        self.diameter = max(max(self.topo.bfs_distances(u)) for u in sources)
         self.livelock_bound = max(4 * self.diameter, 4)
         self.deadlock_window = max(10 * self.diameter, 100)
 
@@ -799,11 +803,7 @@ class Simulation:
         self.residual_flits = residual
 
     def _report(self):
-        import numpy as np
-
-        lat = np.asarray(self.measured_latencies, dtype=float)
-        avg = float(lat.mean()) if lat.size else 0.0
-        p99 = float(np.percentile(lat, 99)) if lat.size else 0.0
+        avg, p99 = latency_stats(self.measured_latencies)
         throughput = self.measured_delivered_flits / (self.n * self.cfg.measure_cycles)
         n_links = sum(self.topo.degree(u) for u in range(self.n))
         util = {
@@ -835,6 +835,29 @@ class Simulation:
             livelock=self.livelock_violations,
             deadlock=0,
         )
+
+
+def latency_stats(latencies):
+    """(mean, 99th percentile) of int latencies, (0.0, 0.0) for none.
+
+    Equal bit for bit to ``float(np.mean(x))`` and ``float(np.percentile(x,
+    99))``: the sum of ints is exact, and the percentile takes numpy's
+    linear-method float steps between the two order statistics around the
+    virtual index (n - 1) * 0.99."""
+    n = len(latencies)
+    if not n:
+        return 0.0, 0.0
+    ordered = sorted(latencies)
+    vi = (n - 1) * 0.99
+    lo = math.floor(vi)
+    if vi >= n - 1:
+        p99 = float(ordered[-1])
+    else:
+        a, b = float(ordered[lo]), float(ordered[lo + 1])
+        g = vi - lo
+        d = b - a
+        p99 = b - d * (1 - g) if g >= 0.5 else a + d * g
+    return sum(latencies) / n, p99
 
 
 def run(config):

@@ -12,8 +12,11 @@ greedy_fallback past a local minimum) carry a source route. Routes are
 loop-free node tuples (source..destination), valid over the alive view
 they were built on; a packet carries its route from the head's node on.
 Shortest routes come from ``topology``'s one BFS and lowest-id successor
-rule. The dependency graph is a plain adjacency map
-tested by Kahn's algorithm: no graph library.
+rule. A ``RoutingContext`` keeps its per-destination tables over the base
+topology (hop distances, torus XY next hops) across fault epochs and
+rebuilds only the shortest successors over each new alive view. The
+dependency graph is a plain adjacency map tested by Kahn's algorithm: no
+graph library.
 """
 
 from __future__ import annotations
@@ -85,14 +88,25 @@ def route_xy(topology, src, dst):
     return tuple(route)
 
 
-def torus_xy_next(topology, node, dst, in_vc, came_from):
+def torus_xy_next(ctx, node, dst, in_vc, came_from):
     """One wrap-aware XY hop on a torus with dateline escape VCs.
 
     Packets start each dimension on VC 0 and switch to VC 1 after crossing
-    that ring's wrap link (the dateline). Returns (next_node, out_vc).
+    that ring's wrap link (the dateline). Returns (next_node, out_vc). The
+    next node comes from ``ctx``'s XY table; a miss stores every hop of
+    one ``route_xy``, as each suffix of an XY route is the XY route from
+    its first node.
     """
-    nxt = route_xy(topology, node, dst)[1]
-    w, h = topology.grid_shape()
+    nexts = ctx.xy_next.get(dst)
+    if nexts is None:
+        nexts = ctx.xy_next[dst] = [None] * ctx.topology.node_count
+    nxt = nexts[node]
+    if nxt is None:
+        route = route_xy(ctx.topology, node, dst)
+        for u, v in zip(route, route[1:]):
+            nexts[u] = v
+        nxt = nexts[node]
+    w, h = ctx.grid
     x, y = node % w, node // w
     nx_, ny_ = nxt % w, nxt // w
     next_is_x = ny_ == y
@@ -214,8 +228,11 @@ def hierarchical_route(address_map, src, dst):
 class RoutingContext:
     """What routing reads besides the packet: the base topology and its
     grid shape, the alive view, the VC count, an algorithm's address maps,
-    and per-destination tables (base hop distances; shortest successors
-    over the view)."""
+    and per-destination tables. Two are over the base topology and kept
+    across fault epochs: hop distances, and the XY next node of every
+    node (torus XY ignores faults; the engine drops a packet whose next
+    link is down). Shortest successors are over the alive view, so
+    ``set_view`` clears them."""
 
     def __init__(self, view, vc_count=1, coordinates=None):
         self.view = _as_view(view)
@@ -229,6 +246,7 @@ class RoutingContext:
         self.coordinates = coordinates
         self.addresses = None
         self.distances = {}
+        self.xy_next = {}     # dst -> next node of each node, filled by route_xy
         self.successors = {}
 
     def set_view(self, view):
@@ -293,7 +311,7 @@ def _xy(ctx, node, dst, in_vc, came_from):
     # a torus picks dateline VCs; a mesh steps X until the column matches,
     # then Y, on VC 0
     if ctx.topology.kind == topo.TORUS:
-        nxt, vc = torus_xy_next(ctx.topology, node, dst, in_vc, came_from)
+        nxt, vc = torus_xy_next(ctx, node, dst, in_vc, came_from)
         return [(nxt, min(vc, ctx.vc_count - 1), None)]
     w, h = ctx.grid
     step = _axis_steps(node % w, dst % w, w, False)

@@ -2,7 +2,8 @@
 
 Injection randomness is counter-based: every draw is a pure function of
 (seed, node, cycle, draw index), so the sequence is identical no matter in
-which order nodes are evaluated.
+which order nodes are evaluated. The (seed, node, cycle) part of the hash
+is one prefix, which ``inject`` computes once for all its draws.
 
 numpy is imported only inside the block draw (``_mix_vector``,
 ``draw0_keys``, ``draw0_block``), so importing this module, and the
@@ -41,12 +42,21 @@ def _mix(x):
     return x ^ (x >> 31)
 
 
-def stream_u64(seed, node, cycle, draw=0):
-    """Counter-based u64 keyed by (seed, node, cycle, draw)."""
+def stream_prefix(seed, node, cycle):
+    """The (seed, node, cycle) part of ``stream_u64``: three mixes."""
     h = _mix(seed ^ 0x9E3779B97F4A7C15)
     h = _mix(h ^ node)
-    h = _mix(h ^ (cycle * 0xD1B54A32D192ED03))
-    return _mix(h ^ (draw * 0x8CB92BA72F3D8DD7))
+    return _mix(h ^ (cycle * 0xD1B54A32D192ED03))
+
+
+def prefix_u64(prefix, draw):
+    """Draw ``draw`` of the stream whose ``stream_prefix`` is ``prefix``."""
+    return _mix(prefix ^ (draw * 0x8CB92BA72F3D8DD7))
+
+
+def stream_u64(seed, node, cycle, draw=0):
+    """Counter-based u64 keyed by (seed, node, cycle, draw)."""
+    return prefix_u64(stream_prefix(seed, node, cycle), draw)
 
 
 def unit_float(u):
@@ -157,7 +167,8 @@ def inject(spec, topology, node, cycle, alive=None):
     if spec.injection_rate <= 0.0:
         return None
     prob = spec.injection_rate / spec.packet_length
-    if stream_float(spec.seed, node, cycle, 0) >= prob:
+    prefix = stream_prefix(spec.seed, node, cycle)
+    if unit_float(prefix_u64(prefix, 0)) >= prob:
         return None
     n = topology.node_count
     if spec.pattern == TRANSPOSE:
@@ -167,11 +178,11 @@ def inject(spec, topology, node, cycle, alive=None):
         dst = spec.permutation[node]
         return None if dst == node else dst
     if spec.pattern == HOTSPOT:
-        if stream_float(spec.seed, node, cycle, 1) < spec.hotspot_fraction:
+        if unit_float(prefix_u64(prefix, 1)) < spec.hotspot_fraction:
             return None if spec.hotspot_node == node else spec.hotspot_node
         # fall through to uniform for the non-hotspot share
     for attempt in range(100):
-        u = stream_u64(spec.seed, node, cycle, 2 + attempt)
+        u = prefix_u64(prefix, 2 + attempt)
         dst = u % (n - 1)
         if dst >= node:
             dst += 1  # uniform over nodes != self

@@ -1,0 +1,107 @@
+"""scripts/bench_record.py on synthetic benchmark result files."""
+
+import importlib.util
+import json
+import os
+import shutil
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SPEC = importlib.util.spec_from_file_location(
+    "bench_record", os.path.join(ROOT, "scripts", "bench_record.py")
+)
+bench_record = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(bench_record)
+
+HOST = {"nproc": 2, "cpu_model": "test cpu", "python": "3.11.7", "numpy": "2.4.6"}
+
+
+def write_checkout(path, src_lines, runs):
+    """A checkout with ``src_lines`` lines under src/ and one results file
+    per (workload, seed, {metric: median}, failed) in ``runs``."""
+    shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), path)
+    (path / "src" / "pkg").mkdir(parents=True)
+    (path / "src" / "pkg" / "a.py").write_text("x = 1\n" * src_lines)
+    results = path / "bench" / "results"
+    results.mkdir(parents=True)
+    for workload, seed, medians, failed in runs:
+        stats = {name: {"median": value, "q1": value, "q3": value, "n": 3}
+                 for name, value in medians.items()}
+        (results / f"{workload}_seed{seed}_trace0.json").write_text(json.dumps({
+            "workload": workload, "seed": seed, "trace": 0, "failed": failed,
+            "environment": dict(HOST, git_commit="abc"), "stats": stats,
+        }))
+    # a traced run is no pair
+    (results / f"{runs[0][0]}_seed{runs[0][1]}_trace1.json").write_text("{}")
+
+
+def medians(wall, rss, setup=0.1):
+    return {"setup_s": setup, "wall_s": wall, "peak_rss_mb": rss}
+
+
+@pytest.fixture
+def checkouts(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    write_checkout(parent, 100, [
+        ("torus8", 1, medians(2.0, 36.0), 0),
+        ("torus8", 2, medians(2.4, 36.2), 0),
+        ("torus8", 3, medians(2.2, 36.4), 0),
+        ("torus8", 4, medians(2.6, 36.6), 0),
+        ("mesh16", 1, medians(1.5, 36.7), 0),
+        ("mesh16", 9, medians(1.5, 36.7), 0),   # no change run
+    ])
+    write_checkout(change, 93, [
+        ("torus8", 1, medians(1.9, 34.7), 0),
+        ("torus8", 2, medians(2.5, 34.6), 0),
+        ("torus8", 3, medians(1.8, 34.8), 1),
+        ("torus8", 4, medians(2.0, 34.7), 0),
+        ("mesh16", 1, medians(1.5, 36.8, setup=0.05), 0),
+        ("sweep", 5, medians(2.0, 35.0), 0),    # no parent run
+    ])
+    return parent, change
+
+
+def test_record_pairs_runs_by_workload_and_seed(checkouts):
+    parent, change = checkouts
+    rec = bench_record.record(str(parent), str(change), 15)
+    assert rec["pr"] == 15
+    assert sorted(rec["workloads"]) == ["mesh16", "torus8"]
+    torus = rec["workloads"]["torus8"]
+    assert torus["seeds"] == [1, 2, 3, 4]
+    assert torus["failed"] == {"parent": 0, "change": 1}
+    wall = torus["metrics"]["wall_s"]
+    assert wall["pairs"] == 4 and wall["change_better"] == 3
+    assert wall["parent"]["median"] == pytest.approx(2.3)
+    assert wall["change"]["median"] == pytest.approx(1.95)
+    assert wall["parent"]["q1"] == pytest.approx(2.05)
+    assert wall["parent"]["q3"] == pytest.approx(2.55)
+    assert torus["metrics"]["peak_rss_mb"]["change_better"] == 4
+    assert torus["metrics"]["setup_s"]["change_better"] == 0  # ties are no win
+    mesh = rec["workloads"]["mesh16"]["metrics"]
+    assert mesh["setup_s"]["change_better"] == 1 and mesh["setup_s"]["pairs"] == 1
+    assert mesh["peak_rss_mb"]["change_better"] == 0
+    assert rec["unpaired"] == [["change", "sweep", 5], ["parent", "mesh16", 9]]
+    assert rec["host"] == {"parent": [HOST], "change": [HOST]}
+    assert rec["src_lines"] == {"parent": 100, "change": 93, "net": -7}
+
+
+def test_main_writes_the_record_and_refuses_bench(checkouts, tmp_path, capsys):
+    parent, change = checkouts
+    out = tmp_path / "BENCH_15.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--pr", "15"]
+    assert bench_record.main(argv + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == bench_record.record(str(parent), str(change), 15)
+    assert "torus8 wall_s: 2.3 -> 1.95, change better in 3/4" in capsys.readouterr().out
+    under_bench = os.path.join(ROOT, "bench", "BENCH_15.json")
+    assert bench_record.main(argv + ["--out", under_bench]) == 1
+    assert not os.path.exists(under_bench)
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert bench_record.main(
+        ["--parent", str(empty), "--change", str(change), "--pr", "15",
+         "--out", str(tmp_path / "none.json")]
+    ) == 1
+    assert not (tmp_path / "none.json").exists()

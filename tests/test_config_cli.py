@@ -546,3 +546,28 @@ def test_analysis_commands_load_no_numpy(tmp_path):
     lines = run_script(NO_NUMPY_UNTIL_A_RUN, write_config(tmp_path), str(edges))
     expected = engine.run(parse(BASE).template)
     assert lines == ["[]", "True", repr(expected)]
+
+
+RUN_WITHOUT_NUMPY_MA = """
+import sys
+from nocsim import config, engine
+
+path, base_dir = sys.argv[1:]
+with open(path, encoding="utf-8") as fh:
+    report = engine.run(config.parse_config(fh.read(), base_dir).template)
+print("numpy" in sys.modules)
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
+print(repr(report))
+"""
+
+
+@pytest.mark.parametrize("name", ["mesh_xy_uniform", "torus_xy_faults"])
+def test_a_run_never_loads_numpy_ma(name):
+    """A run loads numpy for its injection draws, but its report statistics
+    need no ``numpy.ma`` (which ``np.percentile`` imports); the report
+    equals the one from this process."""
+    path = os.path.join(GOLDEN, name + ".cfg")
+    lines = run_script(RUN_WITHOUT_NUMPY_MA, path, GOLDEN)
+    with open(path, encoding="utf-8") as fh:
+        expected = engine.run(parse(fh.read(), GOLDEN).template)
+    assert lines == ["True", "[]", repr(expected)]

@@ -6,8 +6,9 @@ import hashlib
 import weakref
 from collections import deque
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nocsim import cli, engine, fabric, routing, topology as topo, workload
@@ -906,3 +907,41 @@ def test_route_tables_give_the_smallest_neighborhood_route(case):
             except Unreachable:
                 expected = ()
             assert sim.ctx.first_route(src, dst) == expected
+
+
+@pytest.mark.parametrize("t", [
+    topo.mesh(1, 6), topo.mesh(6, 1), topo.mesh(5, 3),
+    topo.torus(2, 3), topo.torus(3, 2), topo.torus(5, 4),
+], ids=repr)
+def test_diameter_from_one_bfs_is_the_all_pairs_maximum(t):
+    """Meshes and tori take the diameter from one BFS; it is the largest
+    distance over all pairs."""
+    sim = engine.Simulation(quiet_config(t))
+    assert sim.diameter == max(max(t.bfs_distances(u)) for u in range(t.node_count))
+
+
+# the list lengths whose virtual index (n - 1) * 0.99 has fraction exactly 0.5
+HALF_WAY = [n for n in range(1, 400) if ((n - 1) * 0.99) % 1 == 0.5]
+
+
+@given(st.one_of(
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=2),
+    st.lists(st.integers(0, 4), min_size=1, max_size=300),  # ties
+    st.sampled_from(HALF_WAY).flatmap(
+        lambda n: st.lists(st.integers(0, 10**4), min_size=n, max_size=n)),
+    st.lists(st.integers(0, 10**9), min_size=1, max_size=2000),
+))
+@example([7])
+@example([3, 9])
+@example(list(range(51)))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_latency_stats_equal_numpy_bit_for_bit(latencies):
+    x = np.asarray(latencies, dtype=float)
+    assert engine.latency_stats(latencies) == (float(np.mean(x)), float(np.percentile(x, 99)))
+
+
+def test_latency_stats_cover_a_half_way_index_and_no_latencies():
+    assert HALF_WAY[:2] == [51, 151]
+    assert engine.latency_stats([]) == (0.0, 0.0)
+    # index 49.5 lies half way between 49 and 50
+    assert engine.latency_stats(list(range(51))) == (25.0, 49.5)

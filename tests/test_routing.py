@@ -140,22 +140,69 @@ def reference_torus_xy_next(t, node, dst, in_vc, came_from):
     return nxt, vc
 
 
+def torus_xy_cases(t, src):
+    """(in_vc, upstream) of a head at src: injected, or arrived from any
+    neighbour on either VC."""
+    return [(None, None)] + [(in_vc, up) for up in t.neighbors(src) for in_vc in (0, 1)]
+
+
 def test_arithmetic_xy_equals_the_coordinate_helper_reference():
     """Every (src, dst) pair; on tori every in_vc and upstream neighbour
-    too. Even rings (torus 4x4) have distance ties on both axes."""
-    for t in (topo.mesh(5, 3), topo.torus(5, 4), topo.torus(4, 4)):
+    too. Even rings (torus 4x4) have distance ties on both axes; on 2-wide
+    rings one link is both the direct link and the wrap link."""
+    for t in (topo.mesh(5, 3), topo.torus(5, 4), topo.torus(4, 4),
+              topo.torus(2, 2), topo.torus(2, 3), topo.torus(3, 2)):
+        ctx = routing.RoutingContext(t)
         for src in range(t.node_count):
             for dst in range(t.node_count):
                 assert routing.route_xy(t, src, dst) == reference_route_xy(t, src, dst)
                 if t.kind != topo.TORUS or src == dst:
                     continue
-                cases = [(None, None)] + [
-                    (in_vc, up) for up in t.neighbors(src) for in_vc in (0, 1)
-                ]
-                for in_vc, up in cases:
-                    assert routing.torus_xy_next(t, src, dst, in_vc, up) == (
+                for in_vc, up in torus_xy_cases(t, src):
+                    assert routing.torus_xy_next(ctx, src, dst, in_vc, up) == (
                         reference_torus_xy_next(t, src, dst, in_vc, up)
                     ), (t, src, dst, in_vc, up)
+
+
+@pytest.mark.parametrize("w,h", [(2, 2), (2, 3), (3, 2), (4, 4), (5, 4), (8, 8)])
+def test_xy_table_filled_in_any_order_gives_the_reference_hop(w, h):
+    """Queries in shuffled order fill the XY table from whichever route
+    misses first; every (node, dst, in_vc, came_from) still gets the
+    reference hop and VC, and a full table costs at most one route_xy per
+    (node, dst) pair."""
+    t = topo.torus(w, h)
+    ctx = routing.RoutingContext(t, vc_count=2)
+    queries = [
+        (src, dst, in_vc, up)
+        for src in range(t.node_count) for dst in range(t.node_count) if src != dst
+        for in_vc, up in torus_xy_cases(t, src)
+    ]
+    random.Random(w * 100 + h).shuffle(queries)
+    calls = []
+    real_route_xy = routing.route_xy
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(routing, "route_xy", lambda *a: calls.append(a[1:]) or real_route_xy(*a))
+        for src, dst, in_vc, up in queries:
+            assert routing.torus_xy_next(ctx, src, dst, in_vc, up) == (
+                reference_torus_xy_next(t, src, dst, in_vc, up)
+            ), (src, dst, in_vc, up)
+    assert 0 < len(calls) <= t.node_count * (t.node_count - 1)
+    assert len(set(calls)) == len(calls)
+
+
+def test_xy_table_survives_a_new_view():
+    """set_view keeps the XY table (XY ignores faults) and clears the
+    shortest successors, which are over the alive view."""
+    t = topo.torus(4, 4)
+    ctx = routing.RoutingContext(t, vc_count=2)
+    assert routing.torus_xy_next(ctx, 3, 1, None, None) == (0, 1)
+    ctx.first_route(0, 5)
+    table = ctx.xy_next
+    filled = {dst: list(nexts) for dst, nexts in table.items()}
+    ctx.set_view(topo.TopologyView(t, failed_links={(3, 0), (0, 3)}))
+    assert ctx.xy_next is table and table == filled
+    assert not ctx.successors
+    assert routing.torus_xy_next(ctx, 3, 1, None, None) == (0, 1)
 
 
 @pytest.mark.parametrize("w,h", [(5, 3), (1, 6), (6, 1), (4, 4)])
@@ -525,19 +572,19 @@ def test_cdg_torus_dateline_two_vcs_acyclic():
 
 
 def test_torus_xy_next_crosses_dateline_to_vc1():
-    t = topo.torus(4, 4)
+    ctx = routing.RoutingContext(topo.torus(4, 4), vc_count=2)
     # 3 -> 0 crosses the x wrap link
-    nxt, vc = routing.torus_xy_next(t, 3, 1, None, None)
+    nxt, vc = routing.torus_xy_next(ctx, 3, 1, None, None)
     assert (nxt, vc) == (0, 1)
     # interior hop stays on VC 0
-    nxt, vc = routing.torus_xy_next(t, 0, 2, None, None)
+    nxt, vc = routing.torus_xy_next(ctx, 0, 2, None, None)
     assert (nxt, vc) == (1, 0)
 
 
 def test_torus_xy_next_resets_vc_on_dimension_switch():
-    t = topo.torus(4, 4)
+    ctx = routing.RoutingContext(topo.torus(4, 4), vc_count=2)
     # arrived on x VC 1, now turning into y: restart at VC 0
-    nxt, vc = routing.torus_xy_next(t, 0, 4, 1, 3)
+    nxt, vc = routing.torus_xy_next(ctx, 0, 4, 1, 3)
     assert (nxt, vc) == (4, 0)
 
 

@@ -230,6 +230,71 @@ def test_inject_order_independent_of_evaluation():
     assert fwd == rev
 
 
+def reference_u64(seed, node, cycle, draw):
+    """``stream_u64`` as four chained splitmix64 mixes, recomputed in full
+    for every draw."""
+    h = workload._mix(seed ^ 0x9E3779B97F4A7C15)
+    h = workload._mix(h ^ node)
+    h = workload._mix(h ^ (cycle * 0xD1B54A32D192ED03))
+    return workload._mix(h ^ (draw * 0x8CB92BA72F3D8DD7))
+
+
+def reference_inject(spec, t, node, cycle, alive=None):
+    """``workload.inject`` with every draw taken from ``reference_u64``."""
+    if spec.injection_rate <= 0.0:
+        return None
+    if workload.unit_float(reference_u64(spec.seed, node, cycle, 0)) >= (
+        spec.injection_rate / spec.packet_length
+    ):
+        return None
+    if spec.pattern == workload.TRANSPOSE:
+        x, y = t.node_xy(node)
+        dst = t.xy_node(y, x)
+        return None if dst == node else dst
+    if spec.pattern == workload.PERMUTATION:
+        dst = spec.permutation[node]
+        return None if dst == node else dst
+    if spec.pattern == workload.HOTSPOT and workload.unit_float(
+        reference_u64(spec.seed, node, cycle, 1)
+    ) < spec.hotspot_fraction:
+        return None if spec.hotspot_node == node else spec.hotspot_node
+    for attempt in range(100):
+        dst = reference_u64(spec.seed, node, cycle, 2 + attempt) % (t.node_count - 1)
+        dst += dst >= node
+        if alive is None or alive(dst):
+            return dst
+    return None
+
+
+@given(
+    st.sampled_from(workload.PATTERNS),
+    st.integers(0, U64_MAX),
+    st.sampled_from([1.0, 0.5, 0.3, 0.05]),
+    st.sampled_from([1, 4]),
+    st.permutations(range(16)),
+    st.one_of(st.none(), st.frozensets(st.integers(0, 15), min_size=1, max_size=15)),
+    st.integers(0, 10**9),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_inject_equals_the_four_mix_reference(
+    pattern, seed, rate, packet_length, perm, alive_set, start
+):
+    """One hash prefix per call gives the same destination as four mixes
+    per draw, for every pattern, with and without an alive test: every
+    node over eight cycles from ``start``."""
+    t = topo.mesh(4, 4)
+    spec = workload.TrafficSpec(
+        pattern=pattern, injection_rate=rate, packet_length=packet_length, seed=seed,
+        hotspot_node=perm[0], permutation=tuple(perm),
+    )
+    alive = None if alive_set is None else alive_set.__contains__
+    for cycle in range(start, start + 8):
+        for node in range(t.node_count):
+            assert workload.inject(spec, t, node, cycle, alive) == (
+                reference_inject(spec, t, node, cycle, alive)
+            ), (node, cycle)
+
+
 # -- fault schedules ---------------------------------------------------------
 
 def test_fault_intervals_half_open():

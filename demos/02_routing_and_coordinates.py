@@ -41,7 +41,11 @@ def main():
         walk.append(node)
     print(f"greedy walk so far: {walk}")
 
-    route = routing.greedy_with_fallback(coords, view, src, dst)
+    # the path a lone greedy_fallback packet takes, from the engine's relation
+    ctx = routing.RoutingContext(view, coordinates=coords)
+    route = routing.walk(
+        routing.relation(routing.ALGORITHMS["greedy_fallback"], ctx), src, dst
+    )
     print(f"fallback route:     {list(route)}  (length {len(route) - 1} hops)")
 
 

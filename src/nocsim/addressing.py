@@ -1,7 +1,8 @@
 """Static virtual coordinates and hierarchical multi-center addresses.
 
 Both maps are assigned once over the fault-free topology and never change,
-mirroring an address system fixed at chip production time.
+mirroring an address system fixed at chip production time. A center's
+tree is a successor table, walked by ``topology.successor_route``.
 """
 
 from __future__ import annotations
@@ -41,29 +42,12 @@ class CoordinateMap:
 
 @dataclass(frozen=True)
 class AddressMap:
-    """Per-center BFS shortest-path trees.
-
-    ``entries[node]`` holds one (parent_node, depth) pair per center; the
-    center itself has parent None at depth 0.
-    """
+    """Per-center BFS shortest-path trees: ``trees[i]`` is the
+    ``TopologyView.shortest_successors`` table of ``centers[i]``, each
+    node's parent one hop closer to it; the center is its own parent."""
 
     centers: tuple
-    entries: tuple
-
-    def parent(self, node, center_index):
-        return self.entries[node][center_index][0]
-
-    def depth(self, node, center_index):
-        return self.entries[node][center_index][1]
-
-    def path_to_center(self, node, center_index):
-        """Node sequence from node up to the center (inclusive)."""
-        path = [node]
-        while True:
-            p = self.entries[path[-1]][center_index][0]
-            if p is None:
-                return path
-            path.append(p)
+    trees: tuple
 
 
 def assign_virtual_coordinates(topology, anchors):
@@ -130,6 +114,5 @@ def assign_hierarchical_addresses(topology, centers):
         dist, parent = view.shortest_successors(c)
         if -1 in dist:
             raise Disconnected(f"node {dist.index(-1)} unreachable from center {c}")
-        parent[c] = None
-        trees.append(zip(parent, dist))
-    return AddressMap(centers, tuple(zip(*trees)))
+        trees.append(tuple(parent))
+    return AddressMap(centers, tuple(trees))

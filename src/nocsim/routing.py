@@ -4,15 +4,18 @@
 greedy advance over virtual coordinates (alone or with a shortest-route
 fallback), the neighborhood method and hierarchical multi-center routing.
 The engine takes its decisions through an entry's one state transition,
-``Algorithm.next_hops``, and ``build_cdg`` walks every state the same
+``Algorithm.next_hops``; ``build_cdg`` explores every state the same
 transition reaches, so ``check-deadlock`` judges the engine's own
-relation. XY, DyXY and greedy advance route hop by hop, XY on meshes and
-tori alike; only the neighborhood method and hierarchical routing (and
-greedy_fallback past a local minimum) carry a source route. Routes are
-loop-free node tuples (source..destination), valid over the alive view
-they were built on; a packet carries its route from the head's node on.
-Shortest routes come from ``topology``'s one BFS and lowest-id successor
-rule. A ``RoutingContext`` keeps its per-destination tables over the base
+relation, and ``walk`` follows its first option from source to
+destination, the path a lone head takes on an idle network. XY, DyXY and
+greedy advance route hop by hop, XY on meshes and tori alike; only the
+neighborhood method and hierarchical routing (and greedy_fallback past a
+local minimum) carry a source route. Routes are loop-free node tuples
+(source..destination), valid over the alive view they were built on; a
+packet carries its route from the head's node on. Shortest routes and
+hierarchical up-routes are both ``topology.successor_route`` walks of
+tables from ``topology``'s one BFS and lowest-id successor rule. A
+``RoutingContext`` keeps its per-destination tables over the base
 topology (hop distances, torus XY next hops) across fault epochs and
 rebuilds only the shortest successors over each new alive view. The
 dependency graph is a plain adjacency map tested by Kahn's algorithm: no
@@ -208,9 +211,9 @@ def hierarchical_route(address_map, src, dst):
     if src == dst:
         return (src,)
     best = None
-    for ci in range(len(address_map.centers)):
-        up_src = address_map.path_to_center(src, ci)
-        up_dst = address_map.path_to_center(dst, ci)
+    for tree in address_map.trees:
+        up_src = topo.successor_route(tree, src)
+        up_dst = topo.successor_route(tree, dst)
         pos = {node: i for i, node in enumerate(up_dst)}
         for i, node in enumerate(up_src):
             if node in pos:
@@ -375,25 +378,12 @@ def relation(algorithm, ctx):
     return partial(algorithm.next_hops, ctx)
 
 
-def _erase_loops(route):
-    out = []
-    for node in route:
-        if node in out:
-            del out[out.index(node) + 1:]
-        else:
-            out.append(node)
-    return tuple(out)
-
-
-def greedy_with_fallback(coordinate_map, view, src, dst):
-    """The path of a lone greedy_fallback head from src to dst, taking the
-    first option at every hop, with its loops erased: greedy advance, and
-    on a local minimum or coordinate aliasing the lexicographically
-    smallest shortest route from the stuck node. Valid over the view;
-    raises Unreachable when the stuck node cannot reach dst."""
-    next_hops = relation(
-        ALGORITHMS["greedy_fallback"], RoutingContext(view, coordinates=coordinate_map)
-    )
+def walk(next_hops, src, dst):
+    """The nodes a lone head visits from src to dst under the relation
+    ``next_hops`` (see ``relation``), taking the first option at every
+    hop, as the engine does on an idle network. Links are not checked
+    against the view: the engine drops a head whose next link is down.
+    Raises Unreachable at a state with no option."""
     path, in_vc, came_from, route = [src], None, None, None
     while path[-1] != dst:
         options = next_hops(path[-1], dst, in_vc, came_from, route)
@@ -402,7 +392,7 @@ def greedy_with_fallback(coordinate_map, view, src, dst):
         came_from = path[-1]
         nxt, in_vc, route = options[0]
         path.append(nxt)
-    return _erase_loops(path)
+    return tuple(path)
 
 
 # --------------------------------------------------------------------------

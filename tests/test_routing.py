@@ -435,8 +435,9 @@ def test_hierarchical_route_valid_and_bounded():
             assert_valid_route(view, route, src, dst)
             # bounded by the best up-and-down trip over any center
             bound = min(
-                amap.depth(src, ci) + amap.depth(dst, ci)
-                for ci in range(len(centers))
+                len(topo.successor_route(tree, src)) - 1
+                + len(topo.successor_route(tree, dst)) - 1
+                for tree in amap.trees
             )
             assert len(route) - 1 <= bound
 
@@ -450,6 +451,12 @@ def test_hierarchical_truncates_at_common_ancestor():
 
 # -- greedy with fallback ----------------------------------------------------
 
+def fallback_walk(cmap, view, src, dst):
+    """The path of a lone greedy_fallback head, from the engine's relation."""
+    ctx = routing.RoutingContext(view, coordinates=cmap)
+    return routing.walk(routing.relation(routing.ALGORITHMS["greedy_fallback"], ctx), src, dst)
+
+
 def test_fallback_minimal_on_fault_free_mesh():
     t = topo.mesh(4, 4)
     cmap = corner_coords(t)
@@ -458,7 +465,7 @@ def test_fallback_minimal_on_fault_free_mesh():
         for dst in range(16):
             if src == dst:
                 continue
-            route = routing.greedy_with_fallback(cmap, view, src, dst)
+            route = fallback_walk(cmap, view, src, dst)
             assert_valid_route(view, route, src, dst)
             assert len(route) - 1 == grid_distance(t, src, dst)
 
@@ -466,7 +473,7 @@ def test_fallback_minimal_on_fault_free_mesh():
 def test_fallback_routes_around_obstacle():
     t, cmap, view = obstacle_case()
     src, dst = t.xy_node(1, 2), t.xy_node(3, 2)
-    route = routing.greedy_with_fallback(cmap, view, src, dst)
+    route = fallback_walk(cmap, view, src, dst)
     assert_valid_route(view, route, src, dst)
     assert not any(n in OBSTACLE_NODES for n in route)
     # greedy prefix + BFS distance from the stuck node
@@ -498,8 +505,9 @@ def test_successor_routes_are_the_smallest_shortest_routes_under_one_way_faults(
 def test_fallback_walks_past_a_long_wall():
     """Column x=8 of a 16x16 mesh fails at y=1..15. Greedy from 0 to 190
     climbs the wall's west face and stalls; the fallback goes back to the
-    gap at y=0 over a shortest route, which has more shortest routes than
-    any enumeration cap allows."""
+    gap at y=0 over the smallest shortest route from the stall, which has
+    more shortest routes than any enumeration cap allows. The path keeps
+    the greedy walk up to the stall: 51 hops, where BFS gives 25."""
     t = topo.mesh(16, 16)
     view = topo.TopologyView(t, failed_nodes=[t.xy_node(8, y) for y in range(1, 16)])
     cmap = addressing.assign_virtual_coordinates(t, addressing.default_anchors(t, 3))
@@ -511,14 +519,11 @@ def test_fallback_walks_past_a_long_wall():
             break
         walk.append(d.node)
     assert d is routing.LOCAL_MINIMUM and walk[-1] != dst
-    route = routing.greedy_with_fallback(cmap, view, src, dst)
-    assert_valid_route(view, route, src, dst)
-    # the greedy prefix up to where the spliced shortest route leaves it
-    # (loop erasure cuts the walk back there), then BFS-shortest from it
-    k = max(i for i, node in enumerate(route) if node in walk)
-    assert route[:k + 1] == tuple(walk[:k + 1])
-    assert len(route) - 1 - k == view.bfs_distances(route[k])[dst]
-    assert walk[-1] not in route  # the stall point was on a loop
+    path = fallback_walk(cmap, view, src, dst)
+    ctx = routing.RoutingContext(view)
+    assert path == tuple(walk[:-1]) + ctx.first_route(walk[-1], dst)
+    assert all(view.has_link(a, b) for a, b in zip(path, path[1:]))
+    assert len(path) - 1 == 51 and view.bfs_distances(src)[dst] == 25
 
 
 def test_fallback_unreachable():
@@ -526,13 +531,7 @@ def test_fallback_unreachable():
     view = topo.TopologyView(t, failed_nodes=(1, 5))
     cmap = addressing.assign_virtual_coordinates(t, (0, 3))
     with pytest.raises(Unreachable):
-        routing.greedy_with_fallback(cmap, view, 0, 3)
-
-
-def test_erase_loops():
-    assert routing._erase_loops((0, 1, 2, 1, 3)) == (0, 1, 3)
-    assert routing._erase_loops((0, 1, 2, 3)) == (0, 1, 2, 3)
-    assert routing._erase_loops((5, 6, 5)) == (5,)
+        fallback_walk(cmap, view, 0, 3)
 
 
 # -- channel dependency graph ------------------------------------------------

@@ -1,6 +1,7 @@
 """Record a parent-versus-change benchmark comparison as ``BENCH_<pr>.json``.
 
-    python3 scripts/bench_record.py --parent DIR --change DIR --pr N [--out FILE]
+    python3 scripts/bench_record.py --parent DIR --change DIR --pr N
+        [--tier1-s PARENT CHANGE] [--out FILE]
 
 ``DIR`` is a checkout in which ``bench/run.py --trace 0`` has been run,
 once per (workload, seed); each run left
@@ -9,8 +10,9 @@ checkouts are paired by (workload, seed). For every workload and every
 end-to-end metric of ``BENCHMARK.json`` the record holds both sides'
 median and quartiles over the paired runs' medians, the pair count and
 the number of pairs in which the change did better. It also holds the
-failed-op counts, the host (nproc, CPU, Python, numpy) and the net line
-count of ``src/``. Writes ``BENCH_<N>.json`` at the root of this
+failed-op counts, the host (nproc, CPU, Python, numpy), the tier-1 test
+wall seconds measured on each checkout (``--tier1-s``; null when not
+given) and the net line count of ``src/``. Writes ``BENCH_<N>.json`` at the root of this
 repository unless ``--out`` says otherwise, and never under ``bench/``.
 """
 
@@ -94,8 +96,9 @@ def compare(parent_runs, change_runs, metrics):
     return table
 
 
-def record(parent, change, pr):
-    """The ``BENCH_<pr>.json`` object for two checkouts' results."""
+def record(parent, change, pr, tier1_s=None):
+    """The ``BENCH_<pr>.json`` object for two checkouts' results;
+    ``tier1_s`` is (parent, change) tier-1 wall seconds, or None."""
     with open(os.path.join(change, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = [(m["name"], m["better"]) for m in json.load(fh)["end_to_end"]]
     parent_runs, change_runs = load_runs(parent), load_runs(change)
@@ -110,6 +113,7 @@ def record(parent, change, pr):
             for key in runs.keys() - paired
         ),
         "host": {"parent": host(parent_runs), "change": host(change_runs)},
+        "tier1_s": tier1_s and {"parent": tier1_s[0], "change": tier1_s[1]},
         "src_lines": {
             "parent": parent_lines, "change": change_lines,
             "net": change_lines - parent_lines,
@@ -122,6 +126,8 @@ def main(argv=None):
     parser.add_argument("--parent", required=True, help="parent checkout")
     parser.add_argument("--change", required=True, help="change checkout")
     parser.add_argument("--pr", required=True, type=int, help="number in the file name")
+    parser.add_argument("--tier1-s", type=float, nargs=2, metavar=("PARENT", "CHANGE"),
+                        help="tier-1 test wall seconds measured on each checkout")
     parser.add_argument("--out", help="output file (default: BENCH_<pr>.json at the root)")
     args = parser.parse_args(argv)
 
@@ -130,7 +136,7 @@ def main(argv=None):
     if out.startswith(bench_dir):
         print(f"error: {out} lies under bench/", file=sys.stderr)
         return 1
-    result = record(args.parent, args.change, args.pr)
+    result = record(args.parent, args.change, args.pr, args.tier1_s)
     if not result["workloads"]:
         print("error: no (workload, seed) run in both checkouts", file=sys.stderr)
         return 1

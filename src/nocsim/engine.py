@@ -15,7 +15,9 @@ of the network:
 
 * Active set. ``Simulation.active`` holds exactly the routers with a
   queued flit (in an input VC or the local queue) or an input VC still
-  bound to a packet. A router joins on every push (arrival, injection,
+  bound to a packet. Packets waiting at a source sit behind its local
+  queue's head-of-line flits, so they never hold a router in the set by
+  themselves. A router joins on every push (arrival, injection,
   radio re-injection) and leaves when a send or a discard leaves it empty
   and unbound. A bound VC with an empty queue keeps its router in the set
   because its packet may have been dropped upstream: the visit that
@@ -31,29 +33,33 @@ of the network:
   grouped by cycle, nodes in ascending order; ``workload.inject`` is
   called, in that order, only for the hit nodes of the current cycle, and
   it alone picks the destination.
-* Per-flit work. Each router's slots are tabulated once in arbitration
-  order with their upstream node and input VC, and every (node, out_port,
-  out_vc) with the input VC at its far end. A cached routing decision
-  carries that VC, and a send appends (upstream, node, input VC, flit) to
-  ``pending``, so an arrival is pushed without a lookup. Neither a send nor
-  an arrival tests alive-ness, and no decision changes for it: a decision
-  is used only in the fault epoch it was made or rechecked in, over that
-  epoch's view, so its link is up and both ends are alive (a failed node
-  takes its links down); and a fault change, applied before the arrivals
-  of its cycle, drops every packet with a flit on a link or into a node
-  that fails. Only the slots of a failed router itself are skipped, by a
-  set lookup in the view's failed nodes. Flow control is one rule for
-  every switching policy (``fabric.flow_control_accept``). Arbitration is
-  one pass over a router's slots: each output port keeps the ready
-  candidate of smallest round-robin rank ``(i - rr[port]) % n_slots``,
-  then every winner is sent and its port's pointer set past its slot.
-  Winners are sent in the order their ports first show up, not by port;
-  that changes no report byte, since each winner goes to a different
-  neighbour and arrivals at different nodes commute (only which packet a
-  strict livelock abort names could differ, were two flits of one router
-  to pass the bound in the same cycle). A send carries its output port
-  and bumps ``port_busy[u][out_port]`` during measurement; ``_report``
-  maps the counters back to (u, v) links.
+* Per-flit work. A packet's flits are made only when it reaches the head
+  of its source's local queue (``fabric.LocalQueue``), so the flits that
+  exist are those in flight plus one packet per backlogged source, and
+  each buffer is a short list. Each router's slots are tabulated once in
+  arbitration order with their upstream node and input VC, and every
+  (node, out_port, out_vc) with the input VC at its far end. A cached
+  routing decision carries that VC, and a send appends (upstream, node,
+  input VC, flit) to ``pending``, so an arrival is pushed without a
+  lookup. Neither a send nor an arrival tests alive-ness, and no decision
+  changes for it: a decision is used only in the fault epoch it was made
+  or rechecked in, over that epoch's view, so its link is up and both ends
+  are alive (a failed node takes its links down); and a fault change,
+  applied before the arrivals of its cycle, drops every packet with a flit
+  on a link or into a node that fails. Only the slots of a failed router
+  itself are skipped, by a set lookup in the view's failed nodes. Flow
+  control is one rule for every switching policy
+  (``fabric.flow_control_accept``). Arbitration is one pass over a
+  router's slots: each output port keeps the ready candidate of smallest
+  round-robin rank ``(i - rr[port]) % n_slots``, then every winner is sent
+  and its port's pointer set past its slot. Winners are sent in the order
+  their ports first show up, not by port; that changes no report byte,
+  since each winner goes to a different neighbour and arrivals at
+  different nodes commute (only which packet a strict livelock abort names
+  could differ, were two flits of one router to pass the bound in the same
+  cycle). A send carries its output port and bumps
+  ``port_busy[u][out_port]`` during measurement; ``_report`` maps the
+  counters back to (u, v) links.
 * Idle cycles. When the active set, the arrivals in flight, the radio
   queues and the radio channel are all empty, the deadlock check reads no
   flit, and such an empty network cannot change until the next fault
@@ -66,16 +72,19 @@ of the network:
 
 numpy is imported only in ``Simulation.__init__`` (the uint64 hit
 threshold, next to ``workload.draw0_keys``), not with this module, so the
-analysis commands, which import it, never load numpy. The report's mean
-and 99th percentile latency are computed in plain Python
-(``latency_stats``), bit-identical to numpy's, so a run never loads
-``numpy.ma``, which ``np.percentile`` imports.
+analysis commands, which import it, never load numpy. Measured latencies
+are kept as a histogram, and the report's mean and 99th percentile are
+computed from it in plain Python (``latency_stats``), bit-identical to
+numpy's over the expanded list, so a run never loads ``numpy.ma``, which
+``np.percentile`` imports.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 
 from . import fabric, routing, topology as topo, workload
@@ -312,7 +321,7 @@ class Simulation:
         self.injected_flits = 0
         self.delivered_flits = 0
         self.dropped_flits = 0
-        self.measured_latencies = []
+        self.measured_latencies = Counter()  # latency -> measured packets
         self.measured_delivered_flits = 0
         self.wireless_delivered = 0
         self.livelock_violations = 0
@@ -435,10 +444,10 @@ class Simulation:
         self.epoch += 1
         self.ctx.set_view(self.view)
         dead = set()
-        # packets occupying failed elements
+        # packets occupying failed elements, waiting ones included
         for u in nodes:
-            for f in list(self.routers[u].buffered_flits()):
-                dead.add(f.packet)
+            for packet, _ in self.routers[u].holdings():
+                dead.add(packet)
         for up, node, _, f in self.pending:
             if (up, node) in links or node in nodes or up in nodes:
                 dead.add(f.packet)
@@ -513,7 +522,7 @@ class Simulation:
         if self.measure_start <= now < self.measure_end:
             self.measured_delivered_flits += packet.length
         if self.measure_start <= packet.inject_cycle < self.measure_end:
-            self.measured_latencies.append(now - packet.inject_cycle)
+            self.measured_latencies[now - packet.inject_cycle] += 1
 
     def _injection_capped(self):
         return (
@@ -581,10 +590,7 @@ class Simulation:
         taken ``hop_count`` hops so far, unless it has no route from there."""
         if not self._route_at_injection(packet, node):
             return
-        flits = fabric.make_flits(packet)
-        for f in flits:
-            f.hop_count = hop_count
-        self.routers[node].local.push_packet(flits, now)
+        self.routers[node].local.push_packet(packet, now, hop_count)
         self.active.add(node)
 
     def _try_wireless(self, packet):
@@ -762,18 +768,18 @@ class Simulation:
         )
 
     def _flits_in_network(self, routers):
-        """(movable, lazily dropped) flits buffered in ``routers``, on links
-        and with the radio. A dropped packet's flits still in a buffer or
-        on a link await a lazy discard: they are not work for the deadlock
-        detector, and the audit counts them apart. The radio holds whole
-        packets, all movable."""
+        """(movable, lazily dropped) flits held in ``routers`` (buffered or
+        waiting at a source), on links and with the radio. A dropped
+        packet's flits still in a router or on a link await a lazy discard:
+        they are not work for the deadlock detector, and the audit counts
+        them apart. The radio holds whole packets, all movable."""
         live = dropped = 0
         for r in routers:
-            for f in r.buffered_flits():
-                if f.packet.dropped:
-                    dropped += 1
+            for packet, flits in r.holdings():
+                if packet.dropped:
+                    dropped += flits
                 else:
-                    live += 1
+                    live += flits
         for *_, f in self.pending:
             if f.packet.dropped:
                 dropped += 1
@@ -837,27 +843,33 @@ class Simulation:
         )
 
 
-def latency_stats(latencies):
-    """(mean, 99th percentile) of int latencies, (0.0, 0.0) for none.
+def latency_stats(histogram):
+    """(mean, 99th percentile) of int latencies given as a histogram
+    ``{latency: packets}``, (0.0, 0.0) for none.
 
     Equal bit for bit to ``float(np.mean(x))`` and ``float(np.percentile(x,
-    99))``: the sum of ints is exact, and the percentile takes numpy's
-    linear-method float steps between the two order statistics around the
-    virtual index (n - 1) * 0.99."""
-    n = len(latencies)
+    99))`` over the expanded list ``x``: the sum of ints is exact, and the
+    percentile takes numpy's linear-method float steps between the two
+    order statistics around the virtual index (n - 1) * 0.99, found from
+    cumulative counts."""
+    n = sum(histogram.values())
     if not n:
         return 0.0, 0.0
-    ordered = sorted(latencies)
+    ordered = sorted(histogram.items())
+    mean = sum(latency * count for latency, count in ordered) / n
     vi = (n - 1) * 0.99
-    lo = math.floor(vi)
     if vi >= n - 1:
-        p99 = float(ordered[-1])
-    else:
-        a, b = float(ordered[lo]), float(ordered[lo + 1])
-        g = vi - lo
-        d = b - a
-        p99 = b - d * (1 - g) if g >= 0.5 else a + d * g
-    return sum(latencies) / n, p99
+        return mean, float(ordered[-1][0])
+    lo = math.floor(vi)
+    cumulative = list(itertools.accumulate(count for _, count in ordered))
+
+    def order_statistic(k):  # the latency at 0-based index k of the sorted list
+        return float(ordered[bisect.bisect_right(cumulative, k)][0])
+
+    a, b = order_statistic(lo), order_statistic(lo + 1)
+    g = vi - lo
+    d = b - a
+    return mean, b - d * (1 - g) if g >= 0.5 else a + d * g
 
 
 def run(config):

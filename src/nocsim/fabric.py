@@ -17,6 +17,12 @@ require (``buffer_depth >= packet_length``, checked by
 ``SimConfig.validate``). A head enters only a VC bound to no packet, which
 is empty, so at that depth the whole packet always fits: the
 whole-packet room check of SAF and VCT needs no code of its own.
+
+Memory follows the flits in flight, not the packets offered. A source
+keeps its backlog as packets and makes flits (``make_flits``) only for
+the packet at the head of its local queue, and every buffer holding flits
+is a plain list at most ``buffer_depth`` or ``packet_length`` long, so
+its ``pop(0)`` stays cheap.
 """
 
 from __future__ import annotations
@@ -72,7 +78,8 @@ def make_flits(packet):
 
 
 class InputVC:
-    """One virtual-channel FIFO of an input port.
+    """One virtual-channel FIFO of an input port: ``queue`` is a list of at
+    most ``depth`` flits, oldest first.
 
     Bound to a single packet from head acceptance until its tail departs;
     ``decision`` caches the routing choice made for the bound packet's head
@@ -84,14 +91,10 @@ class InputVC:
 
     def __init__(self, depth):
         self.depth = depth
-        self.queue = deque()
+        self.queue = []
         self.bound = None         # packet currently owning this VC
         self.tail_arrived = None  # cycle the bound packet's tail arrived
         self.decision = None      # routing choice cached for the bound packet
-
-    @property
-    def occupancy(self):
-        return len(self.queue)
 
     @property
     def free_slots(self):
@@ -109,7 +112,7 @@ class InputVC:
         self.queue.append(flit)
 
     def pop(self):
-        flit = self.queue.popleft()
+        flit = self.queue.pop(0)
         if flit.is_tail:
             self.bound = None
             self.tail_arrived = None
@@ -142,28 +145,44 @@ def flit_ready(policy, vc_state, flit, now, pipeline):
 class LocalQueue:
     """Unbounded open-loop injection queue of one node.
 
-    Whole packets are appended atomically (all flits share one arrival
-    cycle), so SAF readiness reduces to the plain pipeline delay. The
-    routing decision for the head-of-line packet is cached until its tail
-    departs.
+    Only the head-of-line packet is held as flits, in ``queue``; the
+    packets behind it wait in ``waiting`` as (packet, cycle queued, hop
+    count), and a packet's flits are made when it reaches the head. All
+    flits of a packet share the cycle it was queued, so SAF readiness
+    reduces to the plain pipeline delay. ``queue`` is empty only when
+    ``waiting`` is. The routing decision for the head-of-line packet is
+    cached until its tail departs.
     """
 
-    __slots__ = ("queue", "decision")
+    __slots__ = ("queue", "waiting", "decision")
     bound = None  # whole packets are queued at once, so never bound
 
     def __init__(self):
-        self.queue = deque()
+        self.queue = []
+        self.waiting = deque()
         self.decision = None  # routing choice cached for the head-of-line packet
 
-    def push_packet(self, flits, cycle):
-        for f in flits:
+    def push_packet(self, packet, cycle, hop_count):
+        if self.queue:
+            self.waiting.append((packet, cycle, hop_count))
+        else:
+            self._load(packet, cycle, hop_count)
+
+    def _load(self, packet, cycle, hop_count):
+        # make_flits is looked up per call, so a wrapper installed on this
+        # module sees it; the flits go into the same list, which
+        # ``Simulation._peek`` holds across pops
+        for f in make_flits(packet):
             f.arrival = cycle
+            f.hop_count = hop_count
             self.queue.append(f)
 
     def pop(self):
-        flit = self.queue.popleft()
+        flit = self.queue.pop(0)
         if flit.is_tail:
             self.decision = None
+            if self.waiting:
+                self._load(*self.waiting.popleft())
         return flit
 
 
@@ -189,10 +208,17 @@ class RouterState:
         """Total wired buffered flits; feeds DyXY's occupancy signal."""
         return sum(len(vc.queue) for vc in self.inputs.values())
 
-    def buffered_flits(self):
+    def holdings(self):
+        """(packet, flits) for everything this router holds: 1 for each
+        buffered flit, the packet length for each packet waiting at the
+        source."""
         for vc in self.inputs.values():
-            yield from vc.queue
-        yield from self.local.queue
+            for f in vc.queue:
+                yield f.packet, 1
+        for f in self.local.queue:
+            yield f.packet, 1
+        for packet, _, _ in self.local.waiting:
+            yield packet, packet.length
 
 
 class WirelessHubState:

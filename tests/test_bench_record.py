@@ -85,6 +85,7 @@ def test_record_pairs_runs_by_workload_and_seed(checkouts):
     assert mesh["peak_rss_mb"]["change_better"] == 0
     assert rec["unpaired"] == [["change", "sweep", 5], ["parent", "mesh16", 9]]
     assert rec["host"] == {"parent": [HOST], "change": [HOST]}
+    assert rec["tier1_s"] is None  # not measured
     assert rec["src_lines"] == {"parent": 100, "change": 93, "net": -7}
 
 
@@ -94,6 +95,7 @@ def test_main_writes_the_record_and_refuses_bench(checkouts, tmp_path, capsys):
     argv = ["--parent", str(parent), "--change", str(change), "--pr", "15"]
     assert bench_record.main(argv + ["--out", str(out)]) == 0
     assert json.loads(out.read_text()) == bench_record.record(str(parent), str(change), 15)
+    assert json.loads(out.read_text())["tier1_s"] is None
     assert "torus8 wall_s: 2.3 -> 1.95, change better in 3/4" in capsys.readouterr().out
     under_bench = os.path.join(ROOT, "bench", "BENCH_15.json")
     assert bench_record.main(argv + ["--out", under_bench]) == 1
@@ -105,3 +107,20 @@ def test_main_writes_the_record_and_refuses_bench(checkouts, tmp_path, capsys):
          "--out", str(tmp_path / "none.json")]
     ) == 1
     assert not (tmp_path / "none.json").exists()
+
+
+def test_tier1_seconds_are_recorded_next_to_the_host(checkouts, tmp_path):
+    parent, change = checkouts
+    out = tmp_path / "BENCH_15.json"
+    assert bench_record.main([
+        "--parent", str(parent), "--change", str(change), "--pr", "15",
+        "--tier1-s", "61.5", "58", "--out", str(out),
+    ]) == 0
+    rec = json.loads(out.read_text())
+    assert rec["tier1_s"] == {"parent": 61.5, "change": 58.0}
+    assert list(rec).index("tier1_s") == list(rec).index("host") + 1
+    with pytest.raises(SystemExit):  # both sides or neither
+        bench_record.main([
+            "--parent", str(parent), "--change", str(change), "--pr", "15",
+            "--tier1-s", "61.5", "--out", str(out),
+        ])

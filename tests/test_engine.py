@@ -4,7 +4,7 @@ import dataclasses
 import gc
 import hashlib
 import weakref
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -595,6 +595,53 @@ def test_measure_saturation_finds_knee():
     assert result.latencies[0][0] == 0.005
 
 
+def test_run_memory_follows_the_flits_in_flight_past_saturation():
+    """Torus 4x4, VCT, offered 0.9: far past saturation, so every source
+    builds a backlog. After every cycle, a local queue holds the flits of
+    at most one packet, a VC at most ``buffer_depth`` flits, and
+    ``make_flits`` has run at most once per packet and never for one still
+    waiting. The report was recorded before sources kept their backlog as
+    packets."""
+    cfg = quiet_config(
+        topo.torus(4, 4), switching=fabric.VCT,
+        traffic=workload.TrafficSpec(injection_rate=0.9, packet_length=4, seed=5),
+        warmup_cycles=100, measure_cycles=400, drain_cycles=200,
+    )
+    sim = engine.Simulation(cfg)
+    make_flits = fabric.make_flits
+    made = set()
+    most_waiting = [0]
+
+    def counted_make_flits(packet):
+        assert packet not in made
+        made.add(packet)
+        return make_flits(packet)
+
+    def checked_send_phase(now, send_phase=sim._send_phase):
+        progress = send_phase(now)
+        waiting = set()
+        for r in sim.routers:
+            assert len({f.packet for f in r.local.queue}) <= 1, now
+            assert all(len(vc.queue) <= cfg.buffer_depth for vc in r.inputs.values())
+            waiting.update(p for p, _, _ in r.local.waiting)
+        assert not waiting & made, now
+        most_waiting[0] = max(most_waiting[0], len(waiting))
+        return progress
+
+    sim._send_phase = checked_send_phase
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fabric, "make_flits", counted_make_flits)
+        report = sim.run()
+    assert report.serialize() == (
+        "delivered=1669\ndropped=0\navg_latency=132.473282\n"
+        "p99_latency=309.640000\nthroughput=0.618125\nwireless_share=0.000000\n"
+        "livelock=0\ndeadlock=0\n"
+    )
+    assert (report.injected, report.residual) == (1788, 476)
+    assert most_waiting[0] > 100
+    assert len(made) < report.injected  # the backlog left at the end has no flits
+
+
 # -- deadlock detection ------------------------------------------------------
 
 def test_greedy_saf_routing_deadlock_detected():
@@ -641,11 +688,23 @@ def occupied_routers(sim):
     }
 
 
+# ten packets queued at node 20 at cycle 140: at its failure (150-260 in
+# faulted_wireless_config) one is at the head of the local queue as flits
+# and the rest wait behind it as packets
+BACKLOG_PRELOADS = tuple(
+    (140, 20, dst) for dst in (0, 5, 30, 35, 2, 17, 33, 11, 26, 8)
+)
+
 ACTIVE_SET_CASES = {
     # long packets in shallow buffers: faults drop worms mid-transfer and
     # leave VCs bound to dropped packets, on alive and on failed routers
     "faulted_wireless_fallback": lambda: faulted_wireless_config(
         drain_cycles=300, packet_length=8, buffer_depth=2,
+    ),
+    # a source with a backlog fails, dropping its waiting packets, and heals
+    "backlog_at_a_failing_source": lambda: faulted_wireless_config(
+        drain_cycles=300, packet_length=8, buffer_depth=2,
+        preloaded=BACKLOG_PRELOADS,
     ),
     # two VCs interleave on a link, so a VC bound to a live worm empties
     "saturated_torus_two_vcs": lambda: quiet_config(
@@ -690,6 +749,7 @@ HUB_SOURCE_PRELOADS = tuple(
 CONSERVATION_CASES = {
     # worms dropped mid-transfer on the way to an entry hub and after it
     "faulted_wireless_fallback": ACTIVE_SET_CASES["faulted_wireless_fallback"],
+    "backlog_at_a_failing_source": ACTIVE_SET_CASES["backlog_at_a_failing_source"],
     # packets whose source is their own entry hub go straight to the radio
     "hub_sources": lambda: faulted_wireless_config(
         drain_cycles=300, preloaded=HUB_SOURCE_PRELOADS,
@@ -700,8 +760,10 @@ CONSERVATION_CASES = {
 @pytest.mark.parametrize("case", sorted(CONSERVATION_CASES))
 def test_flits_are_conserved_after_every_cycle(case):
     """Every injected flit is delivered, dropped or somewhere in the network
-    (a buffer, a link, the radio, or consumed ahead of its tail at a wired
-    target) at the end of every stepped cycle, not only at the end."""
+    (a buffer, a source's backlog, a link, the radio, or consumed ahead of
+    its tail at a wired target) at the end of every stepped cycle, not only
+    at the end. A failed router holds only dropped packets: a fault change
+    drops everything in a node that fails."""
     sim = engine.Simulation(CONSERVATION_CASES[case]())
     send_phase = sim._send_phase
     enqueue = sim.wireless.enqueue
@@ -710,6 +772,8 @@ def test_flits_are_conserved_after_every_cycle(case):
     def audited_send_phase(now):
         progress = send_phase(now)
         sim._check_conservation()
+        for u in sim.view.failed_nodes:
+            assert all(p.dropped for p, _ in sim.routers[u].holdings()), (now, u)
         stepped.append(now)
         return progress
 
@@ -936,12 +1000,15 @@ HALF_WAY = [n for n in range(1, 400) if ((n - 1) * 0.99) % 1 == 0.5]
 @example(list(range(51)))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_latency_stats_equal_numpy_bit_for_bit(latencies):
+    """The histogram the engine keeps gives numpy's figures over the
+    expanded list of latencies."""
     x = np.asarray(latencies, dtype=float)
-    assert engine.latency_stats(latencies) == (float(np.mean(x)), float(np.percentile(x, 99)))
+    assert engine.latency_stats(Counter(latencies)) == (
+        float(np.mean(x)), float(np.percentile(x, 99)))
 
 
 def test_latency_stats_cover_a_half_way_index_and_no_latencies():
     assert HALF_WAY[:2] == [51, 151]
-    assert engine.latency_stats([]) == (0.0, 0.0)
+    assert engine.latency_stats(Counter()) == (0.0, 0.0)
     # index 49.5 lies half way between 49 and 50
-    assert engine.latency_stats(list(range(51))) == (25.0, 49.5)
+    assert engine.latency_stats(Counter(range(51))) == (25.0, 49.5)

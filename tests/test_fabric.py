@@ -51,7 +51,7 @@ def test_vc_occupancy_and_free_slots():
     p = packet(2)
     for i, f in enumerate(fabric.make_flits(p)):
         vc.push(f, i)
-    assert vc.occupancy == 2 and vc.free_slots == 1
+    assert len(vc.queue) == 2 and vc.free_slots == 1
 
 
 # -- flow control ------------------------------------------------------------
@@ -138,14 +138,30 @@ def test_saf_waits_for_tail():
 def test_local_queue_atomic_push_and_decision_reset():
     q = fabric.LocalQueue()
     p = packet(3)
-    q.push_packet(fabric.make_flits(p), 7)
-    assert all(f.arrival == 7 for f in q.queue)
+    q.push_packet(p, 7, 2)
+    assert all(f.arrival == 7 and f.hop_count == 2 for f in q.queue)
     q.decision = (p.pid, 0, 0, 1)
     q.pop()
     q.pop()
     assert q.decision is not None
     q.pop()  # tail clears the cached decision
     assert q.decision is None
+
+
+def test_local_queue_makes_flits_only_for_its_head_packet():
+    """Packets behind the head wait as packets, with the cycle they were
+    queued and their hop count; the tail's departure brings the next one
+    to the head as flits."""
+    q = fabric.LocalQueue()
+    first, second = packet(2), packet(3, pid=1)
+    q.push_packet(first, 4, 0)
+    q.push_packet(second, 5, 3)
+    assert [f.packet for f in q.queue] == [first, first]
+    assert list(q.waiting) == [(second, 5, 3)]
+    q.pop()
+    assert q.pop().is_tail
+    assert not q.waiting
+    assert [(f.packet, f.arrival, f.hop_count) for f in q.queue] == [(second, 5, 3)] * 3
 
 
 # -- router state ------------------------------------------------------------
@@ -156,9 +172,10 @@ def test_router_state_layout_and_congestion():
     p = packet(2)
     for i, f in enumerate(fabric.make_flits(p)):
         r.inputs[(1, 0)].push(f, i)
-    r.local.push_packet(fabric.make_flits(packet(4, pid=2)), 0)
+    r.local.push_packet(packet(4, pid=2), 0, 0)
+    r.local.push_packet(packet(4, pid=3), 0, 0)
     assert r.congestion() == 2  # local queue flits do not count
-    assert sum(1 for _ in r.buffered_flits()) == 6
+    assert sum(flits for _, flits in r.holdings()) == 10
 
 
 # -- wireless hub MAC --------------------------------------------------------

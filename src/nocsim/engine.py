@@ -61,8 +61,8 @@ of the network:
   ``port_busy[u][out_port]`` during measurement; ``_report`` maps the
   counters back to (u, v) links.
 * Idle cycles. When the active set, the arrivals in flight, the radio
-  queues and the radio channel are all empty, the deadlock check reads no
-  flit, and such an empty network cannot change until the next fault
+  queues and the radio channel are all empty, no packet is in flight, and
+  such an empty network cannot change until the next fault
   change, preloaded packet or injection hit (hits are found by drawing
   blocks ahead, up to the end of the injection window). The loop jumps
   straight to the earliest of these, or to the end; one rule covers the
@@ -318,11 +318,8 @@ class Simulation:
         self.injected_packets = 0
         self.delivered_packets = 0
         self.dropped_packets = 0
-        self.injected_flits = 0
-        self.delivered_flits = 0
-        self.dropped_flits = 0
         self.measured_latencies = Counter()  # latency -> measured packets
-        self.measured_delivered_flits = 0
+        self.measured_delivered = 0  # packets delivered during measurement
         self.wireless_delivered = 0
         self.livelock_violations = 0
         # per router and output port, busy cycles during measurement
@@ -373,7 +370,6 @@ class Simulation:
         packet.route = fix and fix(self.ctx, src, packet.dst)
         if packet.route == ():
             self._drop_packet(packet)
-            self.dropped_flits += packet.length
             return False
         return True
 
@@ -411,7 +407,7 @@ class Simulation:
             progress |= self._send_phase(now)
             if progress:
                 self.last_progress = now
-            elif self._flits_in_network(self.routers[u] for u in self.active)[0]:
+            elif self._in_flight():
                 if now - self.last_progress >= self.deadlock_window:
                     raise DeadlockDetected(
                         f"no flit movement for {now - self.last_progress} cycles "
@@ -467,18 +463,17 @@ class Simulation:
         return changed
 
     def _drop_packet(self, packet):
+        """The one place a drop is counted, for the whole packet; its flits
+        left in routers and on links are popped uncounted later."""
         if packet.dropped:
             return
         packet.dropped = True
         self.dropped_packets += 1
         # flits already consumed at its wired target die with the packet
-        self.dropped_flits += self.eject_progress.pop(packet, 0)
+        self.eject_progress.pop(packet, None)
         if packet.dst != packet.final_dst:
             # lost on the way to its entry hub: release the admission slot
             self.hub_outstanding[packet.dst] -= 1
-
-    def _discard_flit(self, flit):
-        self.dropped_flits += 1
 
     def _apply_arrivals(self, now):
         if not self.pending:
@@ -489,7 +484,6 @@ class Simulation:
         for _, node, down, flit in pending:
             packet = flit.packet
             if packet.dropped:
-                self._discard_flit(flit)
                 continue
             if node == packet.dst:
                 self._consume(node, flit, now)
@@ -516,11 +510,10 @@ class Simulation:
 
     def _deliver(self, packet, now):
         self.delivered_packets += 1
-        self.delivered_flits += packet.length
         if packet.wireless:
             self.wireless_delivered += 1
         if self.measure_start <= now < self.measure_end:
-            self.measured_delivered_flits += packet.length
+            self.measured_delivered += 1
         if self.measure_start <= packet.inject_cycle < self.measure_end:
             self.measured_latencies[now - packet.inject_cycle] += 1
 
@@ -575,8 +568,10 @@ class Simulation:
         packet = fabric.Packet(self.next_pid, src, dst, self.cfg.traffic.packet_length, now)
         self.next_pid += 1
         self.injected_packets += 1
-        self.injected_flits += packet.length
-
+        if not self.view.has_node(src):
+            # a preload at a failed source dies as if the fault had caught it
+            self._drop_packet(packet)
+            return
         if self.wireless is not None:
             self._try_wireless(packet)
         if packet.dst == src:
@@ -712,7 +707,7 @@ class Simulation:
         the leftovers of dropped packets on the way."""
         q = holder.queue
         while q and q[0].packet.dropped:
-            self._discard_flit(holder.pop())
+            holder.pop()
         if q:
             return q[0]
         if holder.bound is not None and holder.bound.dropped:
@@ -767,50 +762,44 @@ class Simulation:
             ws is None or (ws.current_tx is None and not any(ws.queues.values()))
         )
 
-    def _flits_in_network(self, routers):
-        """(movable, lazily dropped) flits held in ``routers`` (buffered or
-        waiting at a source), on links and with the radio. A dropped
-        packet's flits still in a router or on a link await a lazy discard:
-        they are not work for the deadlock detector, and the audit counts
-        them apart. The radio holds whole packets, all movable."""
-        live = dropped = 0
-        for r in routers:
-            for packet, flits in r.holdings():
-                if packet.dropped:
-                    dropped += flits
-                else:
-                    live += flits
-        for *_, f in self.pending:
-            if f.packet.dropped:
-                dropped += 1
-            else:
-                live += 1
+    def _in_flight(self):
+        """Packets injected and neither delivered nor dropped. Each has a
+        flit somewhere: buffered, waiting at its source, on a link, with the
+        radio, or at least its tail when its bodies were consumed early."""
+        return self.injected_packets - self.delivered_packets - self.dropped_packets
+
+    def _check_conservation(self):
+        """The packets in flight hold exactly the live flits found in every
+        router (not only the active set), on links, with the radio, or
+        consumed ahead of their tail at a wired target. A dropped packet's
+        leftovers await a lazy pop and are not counted. Sets
+        ``residual_flits``."""
+        live = sum(
+            n for r in self.routers for packet, n in r.holdings() if not packet.dropped
+        )
+        live += sum(not f.packet.dropped for *_, f in self.pending)
         ws = self.wireless
         if ws is not None:
+            # the radio holds whole packets, all live
             live += sum(p.length for q in ws.queues.values() for p in q)
             if ws.current_tx is not None:
                 live += ws.current_tx.length
-        return live, dropped
-
-    def _check_conservation(self):
-        """Every injected flit is delivered, dropped, awaiting a lazy
-        discard or still in the network. Walks every router, not only the
-        active set, so a flit left in a router outside it is still found."""
-        live, lazily_dropped = self._flits_in_network(self.routers)
-        residual = live + sum(self.eject_progress.values())
-        accounted = (
-            self.delivered_flits + self.dropped_flits + lazily_dropped + residual
-        )
-        if accounted != self.injected_flits:
+        live += sum(self.eject_progress.values())
+        in_flight = self._in_flight()
+        expected = in_flight * self.cfg.traffic.packet_length
+        if live != expected:
             raise AssertionError(
-                f"flit conservation violated: injected {self.injected_flits}, "
-                f"accounted {accounted}"
+                f"flit conservation violated: {in_flight} packets in flight "
+                f"need {expected} flits, found {live}"
             )
-        self.residual_flits = residual
+        self.residual_flits = live
 
     def _report(self):
         avg, p99 = latency_stats(self.measured_latencies)
-        throughput = self.measured_delivered_flits / (self.n * self.cfg.measure_cycles)
+        throughput = (
+            self.measured_delivered * self.cfg.traffic.packet_length
+            / (self.n * self.cfg.measure_cycles)
+        )
         n_links = sum(self.topo.degree(u) for u in range(self.n))
         util = {
             link: busy / self.cfg.measure_cycles

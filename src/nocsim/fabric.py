@@ -147,8 +147,10 @@ class LocalQueue:
 
     Only the head-of-line packet is held as flits, in ``queue``; the
     packets behind it wait in ``waiting`` as (packet, cycle queued, hop
-    count), and a packet's flits are made when it reaches the head. All
-    flits of a packet share the cycle it was queued, so SAF readiness
+    count), and a packet's flits are made when it reaches the head. A
+    waiting packet dropped before then (its node failed) is skipped and
+    never gets flits: the engine counts a drop once, for the whole packet.
+    All flits of a packet share the cycle it was queued, so SAF readiness
     reduces to the plain pipeline delay. ``queue`` is empty only when
     ``waiting`` is. The routing decision for the head-of-line packet is
     cached until its tail departs.
@@ -181,8 +183,12 @@ class LocalQueue:
         flit = self.queue.pop(0)
         if flit.is_tail:
             self.decision = None
-            if self.waiting:
-                self._load(*self.waiting.popleft())
+            waiting = self.waiting
+            while waiting:
+                packet, cycle, hop_count = waiting.popleft()
+                if not packet.dropped:
+                    self._load(packet, cycle, hop_count)
+                    break
         return flit
 
 

@@ -510,6 +510,16 @@ def test_transient_fault_heals():
     assert report.delivered == 1 and report.dropped == 0
 
 
+def test_preload_at_a_failed_source_is_injected_and_dropped():
+    """A packet preloaded at a node that is down is dropped at once, as a
+    node fault drops what the node holds; it is not kept until the heal."""
+    t = topo.mesh(4, 4)
+    sched = workload.FaultSchedule((workload.FaultEvent(("node", 5), 0, 100),))
+    report = engine.run(quiet_config(t, fault_schedule=sched, preloaded=((10, 5, 15),)))
+    assert (report.injected, report.delivered, report.dropped, report.residual) == (
+        1, 0, 1, 0)
+
+
 @pytest.mark.parametrize("algorithm", ["xy", "neighborhood"])
 def test_source_routed_packet_dropped_when_route_dies(algorithm):
     """neighborhood fixes the route at injection; xy, routed hop by hop,
@@ -650,8 +660,11 @@ def test_greedy_saf_routing_deadlock_detected():
     no-progress detector reports it instead of hanging."""
     from nocsim.errors import DeadlockDetected
     cfg = loaded_config(algorithm="greedy", switching=fabric.SAF)
-    with pytest.raises(DeadlockDetected):
+    with pytest.raises(DeadlockDetected) as caught:
         engine.run(cfg)
+    # pinned while the check still walked the routers for live flits: the
+    # packet count it reads now must fire at the same cycle
+    assert str(caught.value) == "no flit movement for 100 cycles at cycle 799"
 
 
 # -- active router set and idle cycles ---------------------------------------
@@ -690,10 +703,11 @@ def occupied_routers(sim):
 
 # ten packets queued at node 20 at cycle 140: at its failure (150-260 in
 # faulted_wireless_config) one is at the head of the local queue as flits
-# and the rest wait behind it as packets
+# and the rest wait behind it as packets; two queued at the heal wait
+# behind the dropped ones
 BACKLOG_PRELOADS = tuple(
     (140, 20, dst) for dst in (0, 5, 30, 35, 2, 17, 33, 11, 26, 8)
-)
+) + ((260, 20, 3), (260, 20, 27))
 
 ACTIVE_SET_CASES = {
     # long packets in shallow buffers: faults drop worms mid-transfer and
@@ -759,15 +773,21 @@ CONSERVATION_CASES = {
 
 @pytest.mark.parametrize("case", sorted(CONSERVATION_CASES))
 def test_flits_are_conserved_after_every_cycle(case):
-    """Every injected flit is delivered, dropped or somewhere in the network
-    (a buffer, a source's backlog, a link, the radio, or consumed ahead of
-    its tail at a wired target) at the end of every stepped cycle, not only
-    at the end. A failed router holds only dropped packets: a fault change
-    drops everything in a node that fails."""
+    """Every packet injected and neither delivered nor dropped has all its
+    flits somewhere in the network (a buffer, a source's backlog, a link,
+    the radio, or consumed ahead of its tail at a wired target) at the end
+    of every stepped cycle, not only at the end. A failed router holds only
+    dropped packets: a fault change drops everything in a node that fails.
+    No flits are made for a packet already dropped."""
     sim = engine.Simulation(CONSERVATION_CASES[case]())
     send_phase = sim._send_phase
     enqueue = sim.wireless.enqueue
-    stepped, queued_at_source = [], []
+    make_flits = fabric.make_flits
+    stepped, queued_at_source, made = [], [], []
+
+    def checked_make_flits(packet):
+        made.append(packet.dropped)
+        return make_flits(packet)
 
     def audited_send_phase(now):
         progress = send_phase(now)
@@ -783,9 +803,12 @@ def test_flits_are_conserved_after_every_cycle(case):
 
     sim._send_phase = audited_send_phase
     sim.wireless.enqueue = recorded_enqueue
-    report = sim.run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fabric, "make_flits", checked_make_flits)
+        report = sim.run()
     assert report.residual == 0 and report.dropped > 0 and report.wireless_share > 0
     assert len(stepped) > 200
+    assert made and not any(made)  # no flits for a dropped packet
     assert any(queued_at_source) and not all(queued_at_source)
 
 

@@ -25,7 +25,6 @@ from .topology import TopologyView
 class CoordinateMap:
     """Per-node hop-distance vectors to a fixed ordered anchor set."""
 
-    anchors: tuple
     coords: tuple  # coords[node] = tuple of hop distances, one per anchor
 
     def coord(self, node):
@@ -67,7 +66,7 @@ def assign_virtual_coordinates(topology, anchors):
         tuple(per_anchor[i][node] for i in range(len(anchors)))
         for node in range(topology.node_count)
     )
-    return CoordinateMap(anchors, coords)
+    return CoordinateMap(coords)
 
 
 def default_anchors(topology, k):

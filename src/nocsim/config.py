@@ -54,7 +54,6 @@ KEYS = {
     "topology.generators": (_int_list, None),
     "topology.rows": (int, None),
     "topology.cols": (int, None),
-    "topology.concentration": (int, 1),
     "topology.file": (str, None),
     "routing.algorithm": (str, REQUIRED),
     "routing.anchors": (int, _SIM.anchor_count),
@@ -132,10 +131,7 @@ def _build_topology(values, base_dir):
         return topo.circulant(values["topology.nodes"], values["topology.generators"])
     if kind == "flattened_butterfly":
         _need(values, "topology.rows", "topology.cols")
-        return topo.flattened_butterfly(
-            values["topology.rows"], values["topology.cols"],
-            values["topology.concentration"],
-        )
+        return topo.flattened_butterfly(values["topology.rows"], values["topology.cols"])
     if kind == "file":
         _need(values, "topology.file")
         path = os.path.join(base_dir, values["topology.file"])

@@ -15,17 +15,21 @@ of the network:
 
 * Active set. ``Simulation.active`` holds exactly the routers with a
   queued flit (in an input VC or the local queue) or an input VC still
-  bound to a packet. Packets waiting at a source sit behind its local
-  queue's head-of-line flits, so they never hold a router in the set by
+  bound to a packet, leaving out failed routers that hold only dropped
+  packets. Packets waiting at a source sit behind its local queue's
+  head-of-line flits, so they never hold a router in the set by
   themselves. A router joins on every push (arrival, injection,
   radio re-injection) and leaves when a send or a discard leaves it empty
   and unbound. A bound VC with an empty queue keeps its router in the set
   because its packet may have been dropped upstream: the visit that
   releases the binding changes what ``flow_control_accept`` upstream sees.
-  The send phase visits the set in ascending node id, the order of a full
-  scan, because looking at a slot may drop packets or discard flits
-  (``_peek``, ``_decision_for``) and those side effects are seen by the
-  routers visited after it.
+  A fault change drops everything a failed router holds and takes the
+  router out of the set, so its leftovers hold up no idle jump; a router
+  that heals rejoins, and its first visit discards the leftovers and
+  releases their bindings. The send phase visits the set in ascending
+  node id, the order of a full scan, because looking at a slot may drop
+  packets or discard flits (``_peek``, ``_decision_for``) and those side
+  effects are seen by the routers visited after it.
 * Injection draw. Draw 0 of every node is computed for a block of cycles
   at once by ``workload.draw0_block`` (about 4096 node-cycles, at least
   one cycle), whose wrapping uint64 arithmetic is bit-identical to
@@ -42,12 +46,14 @@ of the network:
   routing decision carries that VC, and a send appends (upstream, node,
   input VC, flit) to ``pending``, so an arrival is pushed without a
   lookup. Neither a send nor an arrival tests alive-ness, and no decision
-  changes for it: a decision is used only in the fault epoch it was made
-  or rechecked in, over that epoch's view, so its link is up and both ends
-  are alive (a failed node takes its links down); and a fault change,
+  changes for it: every fault change builds a new view, and a decision,
+  which carries the view it was made or rechecked over, is used only
+  while that view is current, so its link is up and both ends are alive
+  (a failed node takes its links down); and a fault change,
   applied before the arrivals of its cycle, drops every packet with a flit
   on a link or into a node that fails. Only the slots of a failed router
-  itself are skipped, by a set lookup in the view's failed nodes. Flow
+  itself are skipped, by a set lookup in the view's failed nodes: a radio
+  delivery into a failed hub puts it back in the active set. Flow
   control is one rule for every switching policy
   (``fabric.flow_control_accept``). Arbitration is one pass over a
   router's slots: each output port keeps the ready candidate of smallest
@@ -60,8 +66,9 @@ of the network:
   cycle). A send carries its output port and bumps
   ``port_busy[u][out_port]`` during measurement; ``_report`` maps the
   counters back to (u, v) links.
-* Idle cycles. When the active set, the arrivals in flight, the radio
-  queues and the radio channel are all empty, no packet is in flight, and
+* Idle cycles. When the active set and the arrivals in flight are empty
+  and the radio holds nothing (``WirelessHubState.idle``), no packet is
+  in flight, and
   such an empty network cannot change until the next fault
   change, preloaded packet or injection hit (hits are found by drawing
   blocks ahead, up to the end of the injection window). The loop jumps
@@ -69,6 +76,9 @@ of the network:
   injection window and the drain. An idle radio passes the token once per
   cycle, so the jump advances it by the skipped cycle count mod the number
   of hubs.
+
+The radio's state, each node's hub and the admission rule with its
+per-hub reservations included, lives in ``fabric.WirelessHubState`` alone.
 
 numpy is imported only in ``Simulation.__init__`` (the uint64 hit
 threshold, next to ``workload.draw0_keys``), not with this module, so the
@@ -283,13 +293,6 @@ class Simulation:
         ]
 
         self.schedule = config.fault_schedule
-        # ascending cycles at which the failed sets change; faults already
-        # active at cycle 0 are applied at 0
-        changes = set(self.schedule.change_cycles())
-        if 0 not in changes and any(workload.faults_at(self.schedule, 0)):
-            changes.add(0)
-        self.fault_changes = sorted(c for c in changes if c >= 0)
-        self.epoch = 0
         self.view = topo.TopologyView(self.topo)
         self.algo = routing.ALGORITHMS[config.algorithm]
         self.ctx = routing_context(
@@ -303,15 +306,9 @@ class Simulation:
         self.wireless = None
         if config.wireless.enabled:
             w = config.wireless
-            self.wireless = fabric.WirelessHubState(w.hubs, w.w_cycles)
-            # static: hub choice reads wired distances over the base topology
-            hub_dist = {h: self.ctx.distance_to(h) for h in w.hubs}
-            self.nearest_hub = [
-                self.wireless.nearest_hub(u, hub_dist) for u in range(self.n)
-            ]
-            # admitted-but-untransmitted packets per entry hub; admission
-            # reserves the slot here so stale queue state cannot overshoot
-            self.hub_outstanding = {h: 0 for h in w.hubs}
+            self.wireless = fabric.WirelessHubState(
+                w.hubs, w.w_cycles, w.distance_threshold, w.queue_cap, self.ctx.distance_to
+            )
 
         # counters
         self.next_pid = 0
@@ -383,7 +380,7 @@ class Simulation:
         total = inject_until + cfg.drain_cycles
         self.measure_start = cfg.warmup_cycles
         self.measure_end = inject_until
-        changes = self.fault_changes
+        changes = self.schedule.change_cycles()
         change_idx = preload_idx = 0
         now = 0
         while now < total:
@@ -429,16 +426,17 @@ class Simulation:
                 if self.wireless is not None:
                     self.wireless.pass_token(skip_to - now)
                 now = skip_to
-        self._check_conservation()
-        return self._report()
+        return self._report(self._check_conservation())
 
     # -- phases --------------------------------------------------------
 
     def _apply_faults(self, now):
+        healed = self.view.failed_nodes
         self.view = topo.TopologyView(self.topo, *workload.faults_at(self.schedule, now))
         nodes, links = self.view.failed_nodes, self.view.failed_links
-        self.epoch += 1
         self.ctx.set_view(self.view)
+        # a healed router may hold dropped leftovers and bindings to release
+        self.active |= healed - nodes
         dead = set()
         # packets occupying failed elements, waiting ones included
         for u in nodes:
@@ -452,15 +450,14 @@ class Simulation:
                 if not vcq.queue:
                     continue
                 up = self.topo.neighbors(u)[port]
-                if (up, u) in links:
+                if (up, u) in links and not vcq.queue[-1].is_tail:
                     # flits mid-transfer over a failed link: drop the packet
-                    if vcq.bound is not None and vcq.tail_arrived is None:
-                        dead.add(vcq.bound)
-        changed = False
+                    dead.add(vcq.bound)
         for packet in dead:
             self._drop_packet(packet)
-            changed = True
-        return changed
+        # a failed router holds only dropped packets now: none is active
+        self.active -= nodes
+        return bool(dead)
 
     def _drop_packet(self, packet):
         """The one place a drop is counted, for the whole packet; its flits
@@ -471,9 +468,9 @@ class Simulation:
         self.dropped_packets += 1
         # flits already consumed at its wired target die with the packet
         self.eject_progress.pop(packet, None)
-        if packet.dst != packet.final_dst:
-            # lost on the way to its entry hub: release the admission slot
-            self.hub_outstanding[packet.dst] -= 1
+        if self.wireless is not None:
+            # lost on the way to its entry hub: release its reservation
+            self.wireless.release(packet)
 
     def _apply_arrivals(self, now):
         if not self.pending:
@@ -573,7 +570,7 @@ class Simulation:
             self._drop_packet(packet)
             return
         if self.wireless is not None:
-            self._try_wireless(packet)
+            self.wireless.admit(packet)
         if packet.dst == src:
             # the source is itself the entry hub: queue straight for the radio
             self.wireless.enqueue(src, packet)
@@ -588,32 +585,12 @@ class Simulation:
         self.routers[node].local.push_packet(packet, now, hop_count)
         self.active.add(node)
 
-    def _try_wireless(self, packet):
-        w = self.cfg.wireless
-        src, dst = packet.src, packet.final_dst
-        hub_a = self.nearest_hub[src]
-        hub_b = self.nearest_hub[dst]
-        if hub_a == hub_b:
-            return
-        admitted = fabric.wireless_admission(
-            self.ctx.distance_to(dst)[src],
-            w.distance_threshold,
-            self.hub_outstanding[hub_a],
-            w.queue_cap,
-        )
-        if admitted:
-            packet.wireless = True
-            packet.dst = hub_a
-            self.hub_outstanding[hub_a] += 1
-
     def _wireless_cycle(self, now):
         ws = self.wireless
         busy_before = ws.busy_until is not None
         delivered = ws.step(now)
-        for packet in delivered:
-            self.hub_outstanding[packet.dst] -= 1  # dst is still the entry hub
-            packet.dst = packet.final_dst
-            hub = self.nearest_hub[packet.dst]
+        for packet in delivered:  # released: dst is its destination again
+            hub = ws.hub_of[packet.dst]
             if hub == packet.dst:
                 self._deliver(packet, now)
             else:  # one more hop for the radio
@@ -625,8 +602,8 @@ class Simulation:
         # fabric module (the benchmark's tracer) see every call
         ready = fabric.flit_ready
         accept = fabric.flow_control_accept
-        policy, pipeline, epoch = self.policy, self.pipeline, self.epoch
-        failed = self.view.failed_nodes
+        policy, pipeline, view = self.policy, self.pipeline, self.view
+        failed = view.failed_nodes
         measuring = self.measure_start <= now < self.measure_end
         sends = []  # (router, holder, next_node, downstream VC, out_port)
         held = {}   # visited router -> slots still holding a flit or a binding
@@ -660,7 +637,7 @@ class Simulation:
                 busy += 1
                 packet = flit.packet
                 d = holder.decision
-                if d is None or d[1] != epoch or d[0] != packet.pid:
+                if d is None or d[1] is not view or d[0] != packet.pid:
                     d = self._decision_for(u, came_from, in_vc, holder, flit)
                     if d is None:
                         continue
@@ -714,25 +691,24 @@ class Simulation:
             # the bound packet died upstream and its tail will never
             # arrive; release the channel or it blocks heads forever
             holder.bound = None
-            holder.tail_arrived = None
             holder.decision = None
         return None
 
     def _decision_for(self, u, came_from, in_vc, holder, flit):
         """Routing decision for the head-of-line flit when the slot's cached
-        one is missing, for another packet or from an older fault epoch.
-        Cached per slot as (pid, epoch, next_node, out_port, downstream
-        input VC); None when the flit cannot move now.
+        one is missing, for another packet or over an older view. Cached
+        per slot as (pid, view, next_node, out_port, downstream input VC);
+        None when the flit cannot move now.
 
-        A decision is used only in the epoch it was made or rechecked in,
-        and both are done over that epoch's view, so its link is up and
-        both ends are alive for as long as it is used: the send needs no
-        alive-ness test of its own."""
+        Every fault change builds a new view, and a decision is used only
+        while the view it was made or rechecked over is current, so its
+        link is up and both ends are alive for as long as it is used: the
+        send needs no alive-ness test of its own."""
         packet = flit.packet
         cached = holder.decision
         if cached is not None and cached[0] == packet.pid:
             if self.view.has_link(u, cached[2]):
-                holder.decision = (packet.pid, self.epoch, *cached[2:])
+                holder.decision = (packet.pid, self.view, *cached[2:])
                 return holder.decision
             # the committed next link died under the packet: drop it
             self._drop_packet(packet)
@@ -748,7 +724,7 @@ class Simulation:
         nxt, out_vc = decision
         out_port = self.topo.port_to(u, nxt)
         holder.decision = (
-            packet.pid, self.epoch, nxt, out_port, self.down_vc[u][out_port][out_vc],
+            packet.pid, self.view, nxt, out_port, self.down_vc[u][out_port][out_vc],
         )
         return holder.decision
 
@@ -757,9 +733,8 @@ class Simulation:
     def _network_idle(self):
         """No flit anywhere: no router holds a flit or a binding, nothing
         is on a link, and the radio has nothing queued or on air."""
-        ws = self.wireless
         return not self.active and not self.pending and (
-            ws is None or (ws.current_tx is None and not any(ws.queues.values()))
+            self.wireless is None or self.wireless.idle()
         )
 
     def _in_flight(self):
@@ -772,18 +747,15 @@ class Simulation:
         """The packets in flight hold exactly the live flits found in every
         router (not only the active set), on links, with the radio, or
         consumed ahead of their tail at a wired target. A dropped packet's
-        leftovers await a lazy pop and are not counted. Sets
-        ``residual_flits``."""
+        leftovers await a lazy pop and are not counted. Returns that count,
+        the report's residual."""
         live = sum(
             n for r in self.routers for packet, n in r.holdings() if not packet.dropped
         )
         live += sum(not f.packet.dropped for *_, f in self.pending)
-        ws = self.wireless
-        if ws is not None:
+        if self.wireless is not None:
             # the radio holds whole packets, all live
-            live += sum(p.length for q in ws.queues.values() for p in q)
-            if ws.current_tx is not None:
-                live += ws.current_tx.length
+            live += sum(p.length for p in self.wireless.packets())
         live += sum(self.eject_progress.values())
         in_flight = self._in_flight()
         expected = in_flight * self.cfg.traffic.packet_length
@@ -792,9 +764,9 @@ class Simulation:
                 f"flit conservation violated: {in_flight} packets in flight "
                 f"need {expected} flits, found {live}"
             )
-        self.residual_flits = live
+        return live
 
-    def _report(self):
+    def _report(self, residual):
         avg, p99 = latency_stats(self.measured_latencies)
         throughput = (
             self.measured_delivered * self.cfg.traffic.packet_length
@@ -820,7 +792,7 @@ class Simulation:
             delivered=self.delivered_packets,
             dropped=self.dropped_packets,
             injected=self.injected_packets,
-            residual=self.residual_flits,
+            residual=residual,
             avg_latency=avg,
             p99_latency=p99,
             throughput=throughput,

@@ -1,6 +1,7 @@
 """Cycle-level router fabric: flits, input-queued routers with credit-based
-backpressure, the three switching policies, and the wireless hub overlay
-with its token-passing MAC.
+backpressure, the three switching policies, and the radio: the wireless
+hub overlay, whose one owner, ``WirelessHubState``, holds each node's hub,
+the admission rule with its per-hub reservations and the token-passing MAC.
 
 Timing model (unit flits, unit-width links):
   * a flit entering an input VC at cycle t is pipeline-ready at t + P;
@@ -81,19 +82,19 @@ class InputVC:
     """One virtual-channel FIFO of an input port: ``queue`` is a list of at
     most ``depth`` flits, oldest first.
 
-    Bound to a single packet from head acceptance until its tail departs;
-    ``decision`` caches the routing choice made for the bound packet's head
-    so body flits follow the same output (the engine's
-    ``Simulation._decision_for`` documents its layout).
+    Bound to a single packet from head acceptance until its tail departs,
+    so the queue holds flits of that packet only, and its tail, once
+    arrived, is ``queue[-1]``; ``decision`` caches the routing choice made
+    for the bound packet's head so body flits follow the same output (the
+    engine's ``Simulation._decision_for`` documents its layout).
     """
 
-    __slots__ = ("depth", "queue", "bound", "tail_arrived", "decision")
+    __slots__ = ("depth", "queue", "bound", "decision")
 
     def __init__(self, depth):
         self.depth = depth
         self.queue = []
         self.bound = None         # packet currently owning this VC
-        self.tail_arrived = None  # cycle the bound packet's tail arrived
         self.decision = None      # routing choice cached for the bound packet
 
     @property
@@ -103,11 +104,8 @@ class InputVC:
     def push(self, flit, cycle):
         if flit.is_head:
             self.bound = flit.packet
-            self.tail_arrived = None
         elif self.bound is None:
             raise ProtocolViolation("body flit arrived with no bound packet")
-        if flit.is_tail:
-            self.tail_arrived = cycle
         flit.arrival = cycle
         self.queue.append(flit)
 
@@ -115,7 +113,6 @@ class InputVC:
         flit = self.queue.pop(0)
         if flit.is_tail:
             self.bound = None
-            self.tail_arrived = None
             self.decision = None
         return flit
 
@@ -136,9 +133,8 @@ def flow_control_accept(vc, flit):
 def flit_ready(policy, vc_state, flit, now, pipeline):
     """Sender-side readiness of the head-of-line flit."""
     if policy == SAF:
-        if vc_state.tail_arrived is None:
-            return False
-        return now >= vc_state.tail_arrived + pipeline
+        last = vc_state.queue[-1]  # the tail, once it has arrived
+        return last.is_tail and now >= last.arrival + pipeline
     return now >= flit.arrival + pipeline
 
 
@@ -228,36 +224,68 @@ class RouterState:
 
 
 class WirelessHubState:
-    """Single shared radio channel with round-robin token MAC.
-
-    At most one hub transmits per cycle; a transmission occupies the channel
-    for ``w_cycles``, after which the engine hands the packet to the hub
-    nearest its destination. An idle token holder passes the token in one
-    cycle, and the token also advances after every completed transmission.
+    """The radio. ``hub_of[u]`` is the hub nearest node u over the
+    fault-free wired topology, ties to the lowest hub id. ``admit`` sends a
+    packet to its source's hub when its destination's hub differs, its
+    wired trip is at least ``distance_threshold`` hops and that hub holds
+    fewer than ``queue_cap`` reservations, kept until the radio delivers
+    the packet or it is dropped (``release``). One shared channel with a
+    round-robin token MAC: at most one hub transmits at a time, for
+    ``w_cycles``; an idle token holder passes the token in one cycle, and
+    the token also advances after every completed transmission.
     """
 
-    def __init__(self, hubs, w_cycles):
+    def __init__(self, hubs, w_cycles, distance_threshold, queue_cap, distance_to):
         self.hubs = tuple(hubs)
         self.w_cycles = w_cycles
+        self.distance_threshold = distance_threshold
+        self.queue_cap = queue_cap
+        self.distance_to = distance_to  # distance_to(dst)[src]: wired hops
+        hub_dist = {h: distance_to(h) for h in self.hubs}
+        self.hub_of = [
+            min(self.hubs, key=lambda h: (hub_dist[h][u], h))
+            for u in range(len(hub_dist[self.hubs[0]]))
+        ]
+        self.reserved = {h: 0 for h in self.hubs}  # admitted, not yet delivered
         self.token = 0  # index into hubs
         self.queues = {h: deque() for h in self.hubs}
         self.busy_until = None   # first cycle the channel is free again
         self.current_tx = None   # packet on air
 
-    def nearest_hub(self, node, hop_dist):
-        """Hub minimizing wired hop distance; ties to the lowest hub id."""
-        return min(self.hubs, key=lambda h: (hop_dist[h][node], h))
+    def admit(self, packet):
+        """Admit ``packet``, just injected, if the rule allows: its wired
+        target becomes its source's hub. Only a trip between two hubs
+        looks up a distance."""
+        src, dst = packet.src, packet.final_dst
+        hub = self.hub_of[src]
+        if hub == self.hub_of[dst]:
+            return
+        if (
+            self.distance_to(dst)[src] >= self.distance_threshold
+            and self.reserved[hub] < self.queue_cap
+        ):
+            packet.wireless = True
+            packet.dst = hub
+            self.reserved[hub] += 1
+
+    def release(self, packet):
+        """Free the reservation of an admitted packet that left its first
+        leg, by radio or by a drop; its wired target is its destination."""
+        if packet.dst != packet.final_dst:
+            self.reserved[packet.dst] -= 1
+            packet.dst = packet.final_dst
 
     def enqueue(self, hub, packet):
         self.queues[hub].append(packet)
 
     def step(self, now):
         """Advance the MAC one cycle; returns the packets whose transmission
-        completed this cycle."""
+        completed this cycle, released and bound for their destination."""
         delivered = []
         if self.busy_until is not None:
             if now < self.busy_until:
                 return delivered
+            self.release(self.current_tx)
             delivered.append(self.current_tx)
             self.current_tx = None
             self.busy_until = None
@@ -271,13 +299,18 @@ class WirelessHubState:
             self.token = (self.token + 1) % len(self.hubs)
         return delivered
 
+    def idle(self):
+        """Nothing queued and nothing on air."""
+        return self.current_tx is None and not any(self.queues.values())
+
+    def packets(self):
+        """Every packet the radio holds, queued or on air."""
+        for q in self.queues.values():
+            yield from q
+        if self.current_tx is not None:
+            yield self.current_tx
+
     def pass_token(self, cycles):
         """Stand in for ``cycles`` steps of an idle channel with empty
         queues: each passes the token to the next hub."""
         self.token = (self.token + cycles) % len(self.hubs)
-
-
-def wireless_admission(wired_distance, distance_threshold, hub_queue_len, queue_cap):
-    """Admit a packet to the wireless overlay only when its wired trip is
-    long enough and the nearest hub's queue has room."""
-    return wired_distance >= distance_threshold and hub_queue_len < queue_cap

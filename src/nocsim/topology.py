@@ -96,12 +96,6 @@ class Topology:
             {(min(u, v), max(u, v)) for u, nbrs in enumerate(self.adjacency) for v in nbrs}
         )
 
-    @property
-    def core_count(self):
-        """Attached cores: concentration * routers for flattened butterfly."""
-        c = self.kind_params.get("concentration", 1)
-        return self.node_count * c
-
     def __eq__(self, other):
         return (
             isinstance(other, Topology)
@@ -215,13 +209,10 @@ def ring(n):
     return circulant(n, (1,))
 
 
-def flattened_butterfly(rows, cols, concentration=1):
-    """Router grid with all-to-all links inside every row and every column.
-
-    Attached cores are injection/ejection queues on their router, not graph
-    nodes; ``concentration`` is kept as metadata.
-    """
-    if rows < 1 or cols < 1 or concentration < 1:
+def flattened_butterfly(rows, cols):
+    """Router grid with all-to-all links inside every row and every column;
+    a router's core is its injection/ejection queue, not a graph node."""
+    if rows < 1 or cols < 1:
         raise InvalidParams("flattened butterfly parameters must be positive")
     adj = []
     for r in range(rows):
@@ -229,11 +220,7 @@ def flattened_butterfly(rows, cols, concentration=1):
             nbrs = [r * cols + c2 for c2 in range(cols) if c2 != c]
             nbrs += [r2 * cols + c for r2 in range(rows) if r2 != r]
             adj.append(nbrs)
-    return Topology(
-        adj,
-        FLATTENED_BUTTERFLY,
-        {"rows": rows, "cols": cols, "concentration": concentration},
-    )
+    return Topology(adj, FLATTENED_BUTTERFLY, {"rows": rows, "cols": cols})
 
 
 # --------------------------------------------------------------------------

@@ -209,12 +209,15 @@ class FaultSchedule:
     events: tuple = ()
 
     def change_cycles(self):
-        """Cycles at which the failed sets may change."""
+        """Ascending cycles >= 0 at which the failed sets change, a run
+        starting with none failed: a fault down before 0 and still down at
+        0 is applied at 0, and one over by 0 never."""
         cycles = set()
         for ev in self.events:
-            cycles.add(ev.down_cycle)
-            if ev.up_cycle != INFINITY:
-                cycles.add(int(ev.up_cycle))
+            if ev.up_cycle > 0:
+                cycles.add(max(ev.down_cycle, 0))
+                if ev.up_cycle != INFINITY:
+                    cycles.add(int(ev.up_cycle))
         return sorted(cycles)
 
 

@@ -180,6 +180,19 @@ def test_cli_run_unknown_key_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_run_concentration_is_an_unknown_key_exit_1(tmp_path, capsys):
+    """``topology.concentration`` changed nothing the simulator did and is
+    gone: a config that sets it is rejected, not silently run."""
+    text = (BASE.replace("kind = mesh", "kind = flattened_butterfly")
+            + "topology.rows = 4\ntopology.cols = 4\ntopology.concentration = 2\n")
+    rc = cli.main(["run", "--config", write_config(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "unknown key 'topology.concentration'" in captured.err
+
+
 def test_cli_run_off_grid_hotspot_exit_1(tmp_path, capsys):
     """A hotspot outside the 4×4 mesh once made xy route forever."""
     text = BASE + "traffic.pattern = hotspot\ntraffic.hotspot_node = 16\n"

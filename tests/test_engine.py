@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
 import weakref
 from collections import Counter, deque
 
@@ -520,6 +521,23 @@ def test_preload_at_a_failed_source_is_injected_and_dropped():
         1, 0, 1, 0)
 
 
+@pytest.mark.parametrize("fail_at,delivered", [(2, 0), (5, 0), (6, 1), (9, 1)])
+def test_a_failing_link_drops_only_a_packet_still_crossing_it(fail_at, delivered):
+    """SAF, 4 flits, 0 -> 3 on a line: the flits cross link 0 -> 1 at
+    cycles 1-4 and arrive at 2-5, and the head leaves node 1 at 6 with the
+    tail last in its VC until 9. The link failing while a flit is on it or
+    before the tail has arrived drops the packet; once the tail is in node
+    1's VC, the packet no longer needs the link."""
+    t = topo.mesh(4, 1)
+    report = engine.run(quiet_config(
+        t, switching=fabric.SAF, preloaded=((0, 0, 3),),
+        fault_schedule=workload.parse_fault_schedule(f"link 0 1 {fail_at} inf\n", t),
+        measure_cycles=50, drain_cycles=50,
+    ))
+    assert (report.delivered, report.dropped) == (delivered, 1 - delivered)
+    assert report.residual == 0
+
+
 @pytest.mark.parametrize("algorithm", ["xy", "neighborhood"])
 def test_source_routed_packet_dropped_when_route_dies(algorithm):
     """neighborhood fixes the route at injection; xy, routed hop by hop,
@@ -743,7 +761,12 @@ def test_active_set_matches_a_full_walk_after_every_cycle(case):
             for u in occupied_routers(sim)
         )
         progress = send_phase(now)
-        occupied = occupied_routers(sim)
+        # a failed router holds only dropped packets and leaves the set
+        occupied = {
+            u for u in occupied_routers(sim)
+            if sim.view.has_node(u)
+            or any(not p.dropped for p, _ in sim.routers[u].holdings())
+        }
         assert sim.active == occupied, now
         seen["busy"] += bool(occupied)
         return progress
@@ -760,9 +783,33 @@ HUB_SOURCE_PRELOADS = tuple(
     for hub, dst in ((7, 35), (28, 0), (22, 5))
 )
 
+# the neighbours of radio hubs 7 and 28 fail in turn, 12 cycles each
+HUB_NEIGHBOR_FAULTS = "".join(
+    f"node {n} {c} {c + 12}\n"
+    for c, n in zip(range(60, 560, 15), itertools.cycle((8, 27, 13, 29)))
+)
+
+
+def first_leg_drops_config():
+    """Four reservations per hub and faults beside the hubs: packets on
+    their way to an entry hub are dropped (11 in this run)."""
+    t = topo.mesh(6, 6)
+    return quiet_config(
+        t,
+        algorithm="greedy_fallback",
+        traffic=workload.TrafficSpec(injection_rate=0.1, packet_length=4, seed=2),
+        fault_schedule=workload.parse_fault_schedule(HUB_NEIGHBOR_FAULTS, t),
+        wireless=engine.WirelessConfig(
+            enabled=True, hubs=(7, 28, 22), distance_threshold=4, queue_cap=4,
+        ),
+        warmup_cycles=50, measure_cycles=500, drain_cycles=300,
+    )
+
+
 CONSERVATION_CASES = {
     # worms dropped mid-transfer on the way to an entry hub and after it
     "faulted_wireless_fallback": ACTIVE_SET_CASES["faulted_wireless_fallback"],
+    "first_leg_drops": first_leg_drops_config,
     "backlog_at_a_failing_source": ACTIVE_SET_CASES["backlog_at_a_failing_source"],
     # packets whose source is their own entry hub go straight to the radio
     "hub_sources": lambda: faulted_wireless_config(
@@ -778,12 +825,14 @@ def test_flits_are_conserved_after_every_cycle(case):
     the radio, or consumed ahead of its tail at a wired target) at the end
     of every stepped cycle, not only at the end. A failed router holds only
     dropped packets: a fault change drops everything in a node that fails.
-    No flits are made for a packet already dropped."""
+    Each hub's reservations are the live packets bound for it on their
+    first leg. No flits are made for a packet already dropped."""
     sim = engine.Simulation(CONSERVATION_CASES[case]())
     send_phase = sim._send_phase
     enqueue = sim.wireless.enqueue
+    release = sim.wireless.release
     make_flits = fabric.make_flits
-    stepped, queued_at_source, made = [], [], []
+    stepped, queued_at_source, made, first_leg_drops = [], [], [], []
 
     def checked_make_flits(packet):
         made.append(packet.dropped)
@@ -794,6 +843,14 @@ def test_flits_are_conserved_after_every_cycle(case):
         sim._check_conservation()
         for u in sim.view.failed_nodes:
             assert all(p.dropped for p, _ in sim.routers[u].holdings()), (now, u)
+        live = {p for r in sim.routers for p, _ in r.holdings()}
+        live.update(f.packet for *_, f in sim.pending)
+        live.update(sim.eject_progress)
+        live.update(sim.wireless.packets())
+        first_legs = Counter(
+            p.dst for p in live if not p.dropped and p.dst != p.final_dst)
+        assert sim.wireless.reserved == {
+            h: first_legs[h] for h in sim.wireless.hubs}, now
         stepped.append(now)
         return progress
 
@@ -801,8 +858,14 @@ def test_flits_are_conserved_after_every_cycle(case):
         queued_at_source.append(hub == packet.src)
         enqueue(hub, packet)
 
+    def recorded_release(packet):
+        if packet.dropped and packet.dst != packet.final_dst:
+            first_leg_drops.append(packet)
+        release(packet)
+
     sim._send_phase = audited_send_phase
     sim.wireless.enqueue = recorded_enqueue
+    sim.wireless.release = recorded_release
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fabric, "make_flits", checked_make_flits)
         report = sim.run()
@@ -810,6 +873,8 @@ def test_flits_are_conserved_after_every_cycle(case):
     assert len(stepped) > 200
     assert made and not any(made)  # no flits for a dropped packet
     assert any(queued_at_source) and not all(queued_at_source)
+    if case == "first_leg_drops":
+        assert len(first_leg_drops) == 11
 
 
 def test_radio_adds_one_hop_to_the_reinjected_flits():
@@ -869,6 +934,43 @@ def stepped_cycles(sim):
 
     sim._send_phase = counted_send_phase
     return sim.run(), stepped
+
+
+def test_a_router_failing_with_flits_leaves_the_active_set():
+    """Node 4 fails at cycle 110, the start of the drain, holding a flit of
+    the 8-flit worm 0 -> 35 and a VC bound to it, and heals at 600. The
+    worm is dropped, the router leaves the active set with it, and the run
+    jumps over the idle cycles up to the heal. Report bytes were pinned
+    when the failed router stayed active, and every cycle up to the heal
+    was stepped."""
+    t = topo.mesh(6, 6)
+    sim = engine.Simulation(quiet_config(
+        t,
+        traffic=workload.TrafficSpec(injection_rate=0.0, packet_length=8),
+        buffer_depth=2,
+        preloaded=((10, 0, 35), (15, 30, 5), (100, 0, 35)),
+        fault_schedule=workload.parse_fault_schedule("node 4 110 600\n", t),
+        warmup_cycles=10, measure_cycles=100, drain_cycles=900,
+    ))
+    apply_faults = sim._apply_faults
+    held_at_failure = []
+
+    def recorded_apply_faults(now):
+        if now == 110:
+            held_at_failure.extend(p.pid for p, _ in sim.routers[4].holdings())
+        return apply_faults(now)
+
+    sim._apply_faults = recorded_apply_faults
+    report, stepped = stepped_cycles(sim)
+    assert report.serialize() == (
+        "delivered=2\ndropped=1\navg_latency=30.000000\n"
+        "p99_latency=30.000000\nthroughput=0.004444\nwireless_share=0.000000\n"
+        "livelock=0\ndeadlock=0\n"
+    )
+    assert report.injected == 3 and report.residual == 0
+    assert held_at_failure == [2]
+    assert {110, 600} <= set(stepped)
+    assert sum(110 < c < 600 for c in stepped) < 10  # the idle jump fired
 
 
 def test_injection_window_jumps_at_rate_zero():

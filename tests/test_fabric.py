@@ -30,9 +30,9 @@ def test_vc_binds_on_head_releases_on_tail():
     p = packet(2)
     head, tail = fabric.make_flits(p)
     vc.push(head, 10)
-    assert vc.bound is p and vc.tail_arrived is None
+    assert vc.bound is p and not vc.queue[-1].is_tail
     vc.push(tail, 11)
-    assert vc.tail_arrived == 11
+    assert vc.queue[-1] is tail and tail.arrival == 11
     assert vc.pop() is head
     assert vc.bound is p  # still bound until the tail leaves
     assert vc.pop() is tail
@@ -180,14 +180,22 @@ def test_router_state_layout_and_congestion():
 
 # -- wireless hub MAC --------------------------------------------------------
 
-def hub_state(w_cycles=3):
-    return fabric.WirelessHubState((10, 20, 30), w_cycles=w_cycles)
+def line_distance(dst):
+    """Hop distances to ``dst`` on the line 0 - 1 - ... - 39."""
+    return [abs(u - dst) for u in range(40)]
+
+
+def hub_state(w_cycles=3, distance_threshold=8, queue_cap=1):
+    return fabric.WirelessHubState(
+        (10, 20, 30), w_cycles, distance_threshold, queue_cap, line_distance,
+    )
 
 
 def test_nearest_hub_tie_breaks_low_id():
     ws = hub_state()
-    hop_dist = {10: {5: 2}, 20: {5: 2}, 30: {5: 7}}
-    assert ws.nearest_hub(5, hop_dist) == 10
+    assert ws.hub_of[15] == 10 and ws.hub_of[25] == 20  # 5 hops to either side
+    assert ws.hub_of[:3] == [10] * 3 and ws.hub_of[39] == 30
+    assert [ws.hub_of[h] for h in ws.hubs] == [10, 20, 30]
 
 
 def test_idle_token_rotates_one_hub_per_cycle():
@@ -222,12 +230,38 @@ def test_mac_serializes_competing_hubs():
         out = ws.step(cycle)
         assert len(out) <= 1
         assert ws.current_tx is None or ws.busy_until is not None
+        assert len(list(ws.packets())) == 6 - len(delivered) - len(out)
+        assert ws.idle() == (ws.busy_until is None and not any(ws.queues.values()))
         delivered += out
     assert [p.pid for p in delivered] == [0, 1, 2, 3, 4, 5]
-    assert not any(ws.queues.values()) and ws.current_tx is None
+    assert ws.idle() and not list(ws.packets())
+
+
+def trip(pid, src, dst):
+    return fabric.Packet(pid, src, dst, 4, inject_cycle=0)
 
 
 def test_admission_rule():
-    assert fabric.wireless_admission(8, 8, 0, 4)
-    assert not fabric.wireless_admission(7, 8, 0, 4)   # trip too short
-    assert not fabric.wireless_admission(12, 8, 4, 4)  # hub queue full
+    """Admitted: two different hubs, a wired trip of at least the threshold
+    and a free reservation at the entry hub, which becomes the wired target
+    until the radio delivers the packet or it is dropped."""
+    ws = hub_state(distance_threshold=8, queue_cap=2)
+    same_hub, short, first, second, full = (
+        trip(0, 12, 14), trip(1, 14, 16), trip(2, 12, 39), trip(3, 8, 25), trip(4, 11, 33))
+    for p in (same_hub, short, first, second, full):
+        ws.admit(p)
+    assert [p.wireless for p in (same_hub, short, first, second, full)] == [
+        False, False, True, True, False]  # same hub, 2 hops, 27, 17, cap of 2 full
+    assert (first.dst, second.dst, full.dst) == (10, 10, 33)
+    assert ws.reserved == {10: 2, 20: 0, 30: 0}
+    ws.release(first)  # dropped on its first leg
+    assert first.dst == first.final_dst == 39 and ws.reserved[10] == 1
+    ws.release(first)  # a second release frees nothing
+    assert ws.reserved[10] == 1
+    ws.enqueue(10, second)
+    delivered = []
+    for cycle in range(5):
+        delivered += ws.step(cycle)
+    assert delivered == [second] and second.dst == 25 and ws.reserved[10] == 0
+    ws.admit(full)
+    assert full.wireless and full.dst == 10 and ws.reserved[10] == 1

@@ -111,9 +111,8 @@ def test_ring_is_circulant_one():
 
 
 def test_flattened_butterfly_structure():
-    t = topo.flattened_butterfly(4, 4, concentration=2)
+    t = topo.flattened_butterfly(4, 4)
     assert all(t.degree(u) == 6 for u in range(16))  # 3 row + 3 column peers
-    assert t.core_count == 32
     s = topo.score(t)
     assert s.diameter == 2  # one row hop plus one column hop
 

@@ -327,6 +327,19 @@ def test_change_cycles():
         )
     )
     assert sched.change_cycles() == [3, 5, 9]
+    # a run starts with none failed: a fault down before 0 and still down
+    # at 0 is applied at 0, and one over by 0 changes nothing
+    down_at_0 = workload.FaultEvent(("node", 3), -5, 7)
+    over_before_0 = workload.FaultEvent(("node", 4), -10, -5)
+    over_at_0 = workload.FaultEvent(("link", 0, 1), -5, 0)
+    assert workload.FaultSchedule(sched.events + (down_at_0,)).change_cycles() == [
+        0, 3, 5, 7, 9]
+    assert workload.FaultSchedule(
+        sched.events + (over_before_0, over_at_0)).change_cycles() == [3, 5, 9]
+    assert workload.FaultSchedule((over_before_0, over_at_0)).change_cycles() == []
+    assert workload.FaultSchedule(
+        sched.events + (down_at_0, over_before_0, over_at_0)).change_cycles() == [
+        0, 3, 5, 7, 9]
 
 
 def test_parse_fault_schedule():

@@ -431,12 +431,12 @@ class Simulation:
     # -- phases --------------------------------------------------------
 
     def _apply_faults(self, now):
-        healed = self.view.failed_nodes
+        was_failed = self.view.failed_nodes
         self.view = topo.TopologyView(self.topo, *workload.faults_at(self.schedule, now))
         nodes, links = self.view.failed_nodes, self.view.failed_links
         self.ctx.set_view(self.view)
         # a healed router may hold dropped leftovers and bindings to release
-        self.active |= healed - nodes
+        self.active |= was_failed - nodes
         dead = set()
         # packets occupying failed elements, waiting ones included
         for u in nodes:
@@ -731,8 +731,10 @@ class Simulation:
     # -- accounting ----------------------------------------------------
 
     def _network_idle(self):
-        """No flit anywhere: no router holds a flit or a binding, nothing
-        is on a link, and the radio has nothing queued or on air."""
+        """No live flit anywhere: every router holding a flit or a binding
+        is active, except failed ones holding only dropped packets; so no
+        router is active, nothing is on a link, and the radio has nothing
+        queued or on air."""
         return not self.active and not self.pending and (
             self.wireless is None or self.wireless.idle()
         )

@@ -248,12 +248,14 @@ def test_admission_rule():
     ws = hub_state(distance_threshold=8, queue_cap=2)
     same_hub, short, first, second, full = (
         trip(0, 12, 14), trip(1, 14, 16), trip(2, 12, 39), trip(3, 8, 25), trip(4, 11, 33))
-    for p in (same_hub, short, first, second, full):
+    at_threshold, below = trip(5, 22, 30), trip(6, 22, 29)
+    trips = (same_hub, short, first, second, full, at_threshold, below)
+    for p in trips:
         ws.admit(p)
-    assert [p.wireless for p in (same_hub, short, first, second, full)] == [
-        False, False, True, True, False]  # same hub, 2 hops, 27, 17, cap of 2 full
-    assert (first.dst, second.dst, full.dst) == (10, 10, 33)
-    assert ws.reserved == {10: 2, 20: 0, 30: 0}
+    assert [p.wireless for p in trips] == [
+        False, False, True, True, False, True, False]  # same hub, 2 hops, 27, 17, cap full, 8, 7
+    assert (first.dst, second.dst, full.dst, at_threshold.dst, below.dst) == (10, 10, 33, 20, 29)
+    assert ws.reserved == {10: 2, 20: 1, 30: 0}
     ws.release(first)  # dropped on its first leg
     assert first.dst == first.final_dst == 39 and ws.reserved[10] == 1
     ws.release(first)  # a second release frees nothing

@@ -731,10 +731,8 @@ class Simulation:
     # -- accounting ----------------------------------------------------
 
     def _network_idle(self):
-        """No live flit anywhere: every router holding a flit or a binding
-        is active, except failed ones holding only dropped packets; so no
-        router is active, nothing is on a link, and the radio has nothing
-        queued or on air."""
+        """No live flit anywhere: no router is active (a failed one holds
+        only dropped packets), nothing is on a link and the radio is idle."""
         return not self.active and not self.pending and (
             self.wireless is None or self.wireless.idle()
         )

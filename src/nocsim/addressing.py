@@ -39,16 +39,6 @@ class CoordinateMap:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class AddressMap:
-    """Per-center BFS shortest-path trees: ``trees[i]`` is the
-    ``TopologyView.shortest_successors`` table of ``centers[i]``, each
-    node's parent one hop closer to it; the center is its own parent."""
-
-    centers: tuple
-    trees: tuple
-
-
 def assign_virtual_coordinates(topology, anchors):
     """Exact BFS hop distances to each anchor, in anchor order."""
     anchors = tuple(anchors)
@@ -99,9 +89,10 @@ def coordinate_distance(coord_u, coord_v):
 
 
 def assign_hierarchical_addresses(topology, centers):
-    """One BFS shortest-path tree per center; a node's parent is its
-    lowest-id neighbour one hop closer to the center
-    (``TopologyView.shortest_successors``), so the map is deterministic."""
+    """One BFS shortest-path tree per center, in center order: a tuple of
+    ``TopologyView.shortest_successors`` tables, where a node's parent is
+    its lowest-id neighbour one hop closer to the center and the center is
+    its own parent, so the trees are deterministic."""
     centers = tuple(centers)
     if not centers:
         raise EmptyCenters("need at least one center")
@@ -114,4 +105,4 @@ def assign_hierarchical_addresses(topology, centers):
         if -1 in dist:
             raise Disconnected(f"node {dist.index(-1)} unreachable from center {c}")
         trees.append(tuple(parent))
-    return AddressMap(centers, tuple(trees))
+    return tuple(trees)

@@ -28,8 +28,8 @@ of the network:
   that heals rejoins, and its first visit discards the leftovers and
   releases their bindings. The send phase visits the set in ascending
   node id, the order of a full scan, because looking at a slot may drop
-  packets or discard flits (``_peek``, ``_decision_for``) and those side
-  effects are seen by the routers visited after it.
+  packets or discard flits (``fabric.InputSlot.head``, ``_decision_for``)
+  and those side effects are seen by the routers visited after it.
 * Injection draw. Draw 0 of every node is computed for a block of cycles
   at once by ``workload.draw0_block`` (about 4096 node-cycles, at least
   one cycle), whose wrapping uint64 arithmetic is bit-identical to
@@ -40,12 +40,14 @@ of the network:
 * Per-flit work. A packet's flits are made only when it reaches the head
   of its source's local queue (``fabric.LocalQueue``), so the flits that
   exist are those in flight plus one packet per backlogged source, and
-  each buffer is a short list. Each router's slots are tabulated once in
-  arbitration order with their upstream node and input VC, and every
-  (node, out_port, out_vc) with the input VC at its far end. A cached
-  routing decision carries that VC, and a send appends (upstream, node,
-  input VC, flit) to ``pending``, so an arrival is pushed without a
-  lookup. Neither a send nor an arrival tests alive-ness, and no decision
+  each buffer is a short list. Each router lists its input slots in
+  arbitration order with their upstream node and input VC
+  (``fabric.RouterState.slots``), and the engine tabulates every (node,
+  out_port, out_vc) with the input VC at its far end. A cached routing
+  decision carries that VC, and a send appends (upstream, node, input VC,
+  flit) to ``pending``, so an arrival is pushed without a lookup. Only
+  fabric pops a dropped packet's leftovers and releases a binding and its
+  decision. Neither a send nor an arrival tests alive-ness, and no decision
   changes for it: every fault change builds a new view, and a decision,
   which carries the view it was made or rechecked over, is used only
   while that view is current, so its link is up and both ends are alive
@@ -55,7 +57,8 @@ of the network:
   itself are skipped, by a set lookup in the view's failed nodes: a radio
   delivery into a failed hub puts it back in the active set. Flow
   control is one rule for every switching policy
-  (``fabric.flow_control_accept``). Arbitration is one pass over a
+  (``fabric.flow_control_accept``), and so is readiness, for the local
+  queue too (``fabric.flit_ready``). Arbitration is one pass over a
   router's slots: each output port keeps the ready candidate of smallest
   round-robin rank ``(i - rr[port]) % n_slots``, then every winner is sent
   and its port's pointer set past its slot. Winners are sent in the order
@@ -164,6 +167,8 @@ class SimConfig:
                     raise ConfigError(f"hub {h} not in topology")
             if w.w_cycles < 1 or w.queue_cap < 1:
                 raise ConfigError("wireless w_cycles and queue_cap must be >= 1")
+        for event in self.fault_schedule.events:
+            workload.check_fault_event(event, self.topology)
         n = self.topology.node_count
         inject_until = self.warmup_cycles + self.measure_cycles
         for entry in self.preloaded:
@@ -267,21 +272,10 @@ class Simulation:
         self.deadlock_window = max(10 * self.diameter, 100)
 
         self.routers = [
-            fabric.RouterState(self.topo.degree(u), self.vc_count, config.buffer_depth)
+            fabric.RouterState(self.topo.neighbors(u), self.vc_count, config.buffer_depth)
             for u in range(self.n)
         ]
         self.active = set()  # routers holding a queued flit or a bound VC
-        # per router, its slots in the fixed arbitration order as (index,
-        # holder, upstream node, input VC): wired inputs by (port, VC), then
-        # the local queue, which has neither; a slot's index is its rank
-        self.slot_table = []
-        for u, router in enumerate(self.routers):
-            slots = [
-                (holder, self.topo.neighbors(u)[port], vc)
-                for (port, vc), holder in router.inputs.items()
-            ]
-            slots.append((router.local, None, None))
-            self.slot_table.append([(i, *slot) for i, slot in enumerate(slots)])
         # input VC at the downstream end of every (u, out_port, out_vc)
         self.down_vc = [
             [
@@ -446,13 +440,11 @@ class Simulation:
             if (up, node) in links or node in nodes or up in nodes:
                 dead.add(f.packet)
         for u in self.active:
-            for (port, _vc), vcq in self.routers[u].inputs.items():
-                if not vcq.queue:
-                    continue
-                up = self.topo.neighbors(u)[port]
-                if (up, u) in links and not vcq.queue[-1].is_tail:
+            for _, holder, up, _ in self.routers[u].slots:
+                q = holder.queue
+                if q and (up, u) in links and not q[-1].is_tail:
                     # flits mid-transfer over a failed link: drop the packet
-                    dead.add(vcq.bound)
+                    dead.add(holder.bound)
         for packet in dead:
             self._drop_packet(packet)
         # a failed router holds only dropped packets now: none is active
@@ -526,8 +518,6 @@ class Simulation:
         if self.hit_max is None or self._injection_capped():
             return None
         hits = self.hits
-        while hits and hits[0][0] < now:
-            hits.popleft()
         while not hits and self.drawn_until < until:
             start = self.drawn_until
             stop = min(until, start + self.block_cycles)
@@ -610,45 +600,33 @@ class Simulation:
         for u in sorted(self.active):
             if u in failed:
                 continue
-            slots = self.slot_table[u]
+            router = self.routers[u]
+            slots, rr = router.slots, router.rr
             n_slots = len(slots)
-            rr = self.routers[u].rr
             # per output port, the ready candidate it serves next: (round-
             # robin rank, slot index, holder, next_node, downstream VC)
             winners = {}
             busy = 0
             for i, holder, came_from, in_vc in slots:
                 q = holder.queue
-                if not q:
-                    bound = holder.bound
-                    if bound is None:
-                        continue  # empty slot
-                    if bound.dropped:
-                        self._peek(holder)  # releases the dead worm's VC
-                    else:
-                        busy += 1  # the rest of a live worm is on its way
+                if not q and holder.bound is None:
+                    continue  # empty slot
+                # head() discards what dropped packets left behind
+                flit = q[0] if q and not q[0].packet.dropped else holder.head()
+                if flit is None:
+                    busy += holder.bound is not None  # a live worm still arriving
                     continue
-                flit = q[0]
-                if flit.packet.dropped:
-                    flit = self._peek(holder)
-                    if flit is None:
-                        busy += holder.bound is not None
-                        continue
                 busy += 1
-                packet = flit.packet
                 d = holder.decision
-                if d is None or d[1] is not view or d[0] != packet.pid:
+                if d is None or d[0] is not view:
                     d = self._decision_for(u, came_from, in_vc, holder, flit)
                     if d is None:
                         continue
-                _, _, nxt, out_port, down = d
-                if came_from is None:  # local queue
-                    if now < flit.arrival + pipeline:
-                        continue
-                elif not ready(policy, holder, flit, now, pipeline):
+                _, nxt, out_port, down = d
+                if not ready(policy, holder, flit, now, pipeline):
                     continue
                 # ejection consumes on arrival
-                if nxt != packet.dst and not accept(down, flit):
+                if nxt != flit.packet.dst and not accept(down, flit):
                     continue
                 rank = (i - rr[out_port]) % n_slots
                 w = winners.get(out_port)
@@ -679,26 +657,12 @@ class Simulation:
                 self.active.discard(u)
         return bool(sends)
 
-    def _peek(self, holder):
-        """Head-of-line flit of an input slot, or None once empty; discards
-        the leftovers of dropped packets on the way."""
-        q = holder.queue
-        while q and q[0].packet.dropped:
-            holder.pop()
-        if q:
-            return q[0]
-        if holder.bound is not None and holder.bound.dropped:
-            # the bound packet died upstream and its tail will never
-            # arrive; release the channel or it blocks heads forever
-            holder.bound = None
-            holder.decision = None
-        return None
-
     def _decision_for(self, u, came_from, in_vc, holder, flit):
         """Routing decision for the head-of-line flit when the slot's cached
-        one is missing, for another packet or over an older view. Cached
-        per slot as (pid, view, next_node, out_port, downstream input VC);
-        None when the flit cannot move now.
+        one is missing or over an older view (``fabric.InputSlot`` gives its
+        layout); None when the flit cannot move now. A slot holds one
+        packet's flits and fabric clears its decision with them, so a
+        cached one is the packet's own, and a flit without one is a head.
 
         Every fault change builds a new view, and a decision is used only
         while the view it was made or rechecked over is current, so its
@@ -706,16 +670,12 @@ class Simulation:
         send needs no alive-ness test of its own."""
         packet = flit.packet
         cached = holder.decision
-        if cached is not None and cached[0] == packet.pid:
-            if self.view.has_link(u, cached[2]):
-                holder.decision = (packet.pid, self.view, *cached[2:])
+        if cached is not None:
+            if self.view.has_link(u, cached[1]):
+                holder.decision = (self.view, *cached[1:])
                 return holder.decision
             # the committed next link died under the packet: drop it
             self._drop_packet(packet)
-            return None
-        if not flit.is_head:
-            # body flits must follow the head; a lost cache means the head
-            # was dropped and the queue will be purged via _peek
             return None
         decision = self._decide(u, packet, in_vc, came_from)
         if decision is None:
@@ -723,9 +683,7 @@ class Simulation:
             return None
         nxt, out_vc = decision
         out_port = self.topo.port_to(u, nxt)
-        holder.decision = (
-            packet.pid, self.view, nxt, out_port, self.down_vc[u][out_port][out_vc],
-        )
+        holder.decision = (self.view, nxt, out_port, self.down_vc[u][out_port][out_vc])
         return holder.decision
 
     # -- accounting ----------------------------------------------------

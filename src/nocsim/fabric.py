@@ -78,15 +78,38 @@ def make_flits(packet):
     return [Flit(packet, i == 0, i == last) for i in range(packet.length)]
 
 
-class InputVC:
-    """One virtual-channel FIFO of an input port: ``queue`` is a list of at
-    most ``depth`` flits, oldest first.
+class InputSlot:
+    """What an input slot of a router shares, a wired input VC or the local
+    queue: ``queue``, the flits of at most one packet, oldest first, and
+    ``decision``, the routing choice cached for that packet as (view, next
+    node, out port, downstream input VC), made for its head so the body
+    flits follow the same output; cleared when the packet's tail leaves or
+    its leftovers are purged (``head``)."""
 
-    Bound to a single packet from head acceptance until its tail departs,
-    so the queue holds flits of that packet only, and its tail, once
-    arrived, is ``queue[-1]``; ``decision`` caches the routing choice made
-    for the bound packet's head so body flits follow the same output (the
-    engine's ``Simulation._decision_for`` documents its layout).
+    __slots__ = ()
+
+    def head(self):
+        """Head-of-line flit, or None once empty. Pops the leftovers of
+        dropped packets on the way, and releases the binding, and its
+        decision, of a dropped packet whose tail will never arrive, or it
+        would block heads forever. A live binding with an empty queue is
+        kept: the rest of its worm is on its way."""
+        q = self.queue
+        while q and q[0].packet.dropped:
+            self.pop()
+        if q:
+            return q[0]
+        if self.bound is not None and self.bound.dropped:
+            self.bound = None
+            self.decision = None
+        return None
+
+
+class InputVC(InputSlot):
+    """One virtual-channel FIFO of a wired input port: ``queue`` holds at
+    most ``depth`` flits. Bound to a single packet from head acceptance
+    until its tail departs, so the queue holds flits of that packet only,
+    and its tail, once arrived, is ``queue[-1]``.
     """
 
     __slots__ = ("depth", "queue", "bound", "decision")
@@ -95,7 +118,7 @@ class InputVC:
         self.depth = depth
         self.queue = []
         self.bound = None         # packet currently owning this VC
-        self.decision = None      # routing choice cached for the bound packet
+        self.decision = None
 
     @property
     def free_slots(self):
@@ -130,15 +153,15 @@ def flow_control_accept(vc, flit):
     return vc.bound is flit.packet and vc.free_slots > 0
 
 
-def flit_ready(policy, vc_state, flit, now, pipeline):
-    """Sender-side readiness of the head-of-line flit."""
+def flit_ready(policy, slot, flit, now, pipeline):
+    """Sender-side readiness of the head-of-line flit of any input slot."""
     if policy == SAF:
-        last = vc_state.queue[-1]  # the tail, once it has arrived
+        last = slot.queue[-1]  # the tail, once it has arrived
         return last.is_tail and now >= last.arrival + pipeline
     return now >= flit.arrival + pipeline
 
 
-class LocalQueue:
+class LocalQueue(InputSlot):
     """Unbounded open-loop injection queue of one node.
 
     Only the head-of-line packet is held as flits, in ``queue``; the
@@ -147,9 +170,8 @@ class LocalQueue:
     waiting packet dropped before then (its node failed) is skipped and
     never gets flits: the engine counts a drop once, for the whole packet.
     All flits of a packet share the cycle it was queued, so SAF readiness
-    reduces to the plain pipeline delay. ``queue`` is empty only when
-    ``waiting`` is. The routing decision for the head-of-line packet is
-    cached until its tail departs.
+    (``flit_ready``) reduces to the plain pipeline delay. ``queue`` is
+    empty only when ``waiting`` is.
     """
 
     __slots__ = ("queue", "waiting", "decision")
@@ -158,7 +180,7 @@ class LocalQueue:
     def __init__(self):
         self.queue = []
         self.waiting = deque()
-        self.decision = None  # routing choice cached for the head-of-line packet
+        self.decision = None
 
     def push_packet(self, packet, cycle, hop_count):
         if self.queue:
@@ -169,7 +191,7 @@ class LocalQueue:
     def _load(self, packet, cycle, hop_count):
         # make_flits is looked up per call, so a wrapper installed on this
         # module sees it; the flits go into the same list, which
-        # ``Simulation._peek`` holds across pops
+        # ``head`` holds across pops
         for f in make_flits(packet):
             f.arrival = cycle
             f.hop_count = hop_count
@@ -189,22 +211,28 @@ class LocalQueue:
 
 
 class RouterState:
-    """Per-node input buffers, arbitration pointers, and counters.
+    """Per-node input slots, arbitration pointers, and counters.
 
-    Wired input port indices mirror the topology's neighbor-slot ports;
-    the local queue is the node's open-loop injection source.
+    ``inputs[(port, vc)]`` is the input VC of wired port ``port``, whose
+    index is the topology's neighbor slot ``neighbors[port]``; the local
+    queue is the node's open-loop injection source. ``slots`` lists every
+    input slot in the fixed arbitration order as (index, holder, upstream
+    node, input VC): wired inputs by (port, VC), then the local queue,
+    which has neither; a slot's index is its rank. ``rr[port]`` is the
+    round-robin pointer of output port ``port``, a slot index.
     """
 
-    def __init__(self, n_ports, vc_count, depth):
+    def __init__(self, neighbors, vc_count, depth):
         self.inputs = {
             (port, vc): InputVC(depth)
-            for port in range(n_ports)
+            for port in range(len(neighbors))
             for vc in range(vc_count)
         }
         self.local = LocalQueue()
-        # round-robin pointer per output port, a slot index in the
-        # engine's arbitration order (``Simulation.slot_table``)
-        self.rr = [0] * n_ports
+        slots = [(vc, neighbors[port], in_vc) for (port, in_vc), vc in self.inputs.items()]
+        slots.append((self.local, None, None))
+        self.slots = [(i, *slot) for i, slot in enumerate(slots)]
+        self.rr = [0] * len(neighbors)
 
     def congestion(self):
         """Total wired buffered flits; feeds DyXY's occupancy signal."""

@@ -204,14 +204,14 @@ def neighborhood_routes(view, src, dst, budget=DEFAULT_ROUTE_BUDGET):
 # Hierarchical multi-center routing
 # --------------------------------------------------------------------------
 
-def hierarchical_route(address_map, src, dst):
-    """Best up-and-down route over all centers' shortest-path trees,
-    truncated at the deepest common tree node; ties go to the lowest-index
-    center."""
+def hierarchical_route(trees, src, dst):
+    """Best up-and-down route over the centers' shortest-path trees
+    (``addressing.assign_hierarchical_addresses``), truncated at the
+    deepest common tree node; ties go to the lowest-index center."""
     if src == dst:
         return (src,)
     best = None
-    for tree in address_map.trees:
+    for tree in trees:
         up_src = topo.successor_route(tree, src)
         up_dst = topo.successor_route(tree, dst)
         pos = {node: i for i, node in enumerate(up_dst)}
@@ -282,21 +282,21 @@ class Algorithm:
     routes hop by hop: ``options(ctx, node, dst, in_vc, came_from)`` lists
     the (next node, out VC, route or None) a head may take, in order; a
     route, starting at the next node, switches to source routing from
-    there on. ``next_hops`` is the one transition between states.
+    there on. ``next_hops`` is the one transition between states. Only
+    minimal routing (DyXY, minimal_adaptive) lists more than one option,
+    and a head takes the one ``pick`` chooses.
     """
 
     kinds: tuple = None         # topology kinds it runs on; None: any
     options: object = None
     source_route: object = None
-    adaptive: bool = False      # a head takes its least congested option
     coordinates: bool = False   # reads virtual coordinates
     centers: bool = False       # reads hierarchical addresses
 
-    def pick(self, options, congestion):
-        """The option a head takes: the first, or for an adaptive algorithm
-        the one whose next node is least congested, the first on ties."""
-        if not self.adaptive:
-            return options[0]
+    @staticmethod
+    def pick(options, congestion):
+        """The option a head takes among two or more: the one whose next
+        node is least congested, the first on ties."""
         return min(options, key=lambda option: congestion(option[0]))
 
     def next_hops(self, ctx, node, dst, in_vc, came_from, route):
@@ -348,7 +348,7 @@ def _greedy_fallback(ctx, node, dst, in_vc, came_from):
 
 ALGORITHMS = {
     "xy": Algorithm(kinds=(topo.MESH, topo.TORUS), options=_xy),
-    "dyxy": Algorithm(kinds=(topo.MESH,), options=_minimal, adaptive=True),
+    "dyxy": Algorithm(kinds=(topo.MESH,), options=_minimal),
     "greedy": Algorithm(options=_greedy, coordinates=True),
     "greedy_fallback": Algorithm(options=_greedy_fallback, coordinates=True),
     "neighborhood": Algorithm(source_route=lambda ctx, src, dst: ctx.first_route(src, dst)),
@@ -359,7 +359,7 @@ ALGORITHMS = {
 }
 
 # check-deadlock also judges fully adaptive minimal routing, which no run uses
-RELATIONS = dict(ALGORITHMS, minimal_adaptive=Algorithm(options=_minimal, adaptive=True))
+RELATIONS = dict(ALGORITHMS, minimal_adaptive=Algorithm(options=_minimal))
 
 
 def lookup(name, kind, table=ALGORITHMS):

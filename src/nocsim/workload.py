@@ -240,6 +240,23 @@ def faults_at(schedule, cycle):
     return nodes, links
 
 
+def check_fault_event(event, topology, where=""):
+    """The one rule for a fault event, read from a file or built in Python:
+    its node or link is in ``topology`` (else UnknownElement) and it goes
+    down before it comes up (else InvertedInterval). ``where`` starts each
+    message."""
+    element, n = event.element, topology.node_count
+    if element[0] == "node":
+        if not 0 <= element[1] < n:
+            raise UnknownElement(f"{where}node {element[1]} not in topology")
+    else:
+        _, u, v = element
+        if not (0 <= u < n and 0 <= v < n and topology.has_link(u, v)):
+            raise UnknownElement(f"{where}link {u} {v} not in topology")
+    if event.down_cycle >= event.up_cycle:
+        raise InvertedInterval(f"{where}down {event.down_cycle} >= up {event.up_cycle}")
+
+
 def parse_fault_schedule(text, topology):
     """One event per line: 'node <id> <down> <up|inf>' or
     'link <u> <v> <down> <up|inf>'. Blank lines and #-comments allowed."""
@@ -256,8 +273,6 @@ def parse_fault_schedule(text, topology):
             node = _parse_int(parts[1], ln_no, raw.find(parts[1]) + 1)
             down = _parse_int(parts[2], ln_no, raw.find(parts[2]) + 1)
             up = _parse_up(parts[3], ln_no, raw.find(parts[3]) + 1)
-            if not 0 <= node < topology.node_count:
-                raise UnknownElement(f"line {ln_no}: node {node} not in topology")
             element = ("node", node)
         elif kind == "link":
             if len(parts) != 5:
@@ -268,18 +283,12 @@ def parse_fault_schedule(text, topology):
             v = _parse_int(parts[2], ln_no, raw.find(parts[2]) + 1)
             down = _parse_int(parts[3], ln_no, raw.find(parts[3]) + 1)
             up = _parse_up(parts[4], ln_no, raw.find(parts[4]) + 1)
-            if not (
-                0 <= u < topology.node_count
-                and 0 <= v < topology.node_count
-                and topology.has_link(u, v)
-            ):
-                raise UnknownElement(f"line {ln_no}: link {u} {v} not in topology")
             element = ("link", u, v)
         else:
             raise ScheduleSyntaxError(f"unknown element kind {kind!r}", ln_no)
-        if down >= up:
-            raise InvertedInterval(f"line {ln_no}: down {down} >= up {up}")
-        events.append(FaultEvent(element, down, up))
+        event = FaultEvent(element, down, up)
+        check_fault_event(event, topology, f"line {ln_no}: ")
+        events.append(event)
     return FaultSchedule(tuple(events))
 
 

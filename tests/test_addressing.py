@@ -120,39 +120,42 @@ def test_euclidean_matches_math_dist(a, b):
 
 # -- hierarchical addresses --------------------------------------------------
 
-def depth(amap, node, ci):
+def depth(trees, node, ci):
     """A node's depth in center ci's tree: the hops of its walk up."""
-    return len(topo.successor_route(amap.trees[ci], node)) - 1
+    return len(topo.successor_route(trees[ci], node)) - 1
 
 
 def test_hierarchical_depths_are_bfs_distances():
     t = topo.mesh(4, 4)
-    amap = addressing.assign_hierarchical_addresses(t, (5, 10))
-    for ci, c in enumerate(amap.centers):
+    centers = (5, 10)
+    trees = addressing.assign_hierarchical_addresses(t, centers)
+    assert len(trees) == len(centers)
+    for ci, c in enumerate(centers):
         dist = t.bfs_distances(c)
-        assert amap.trees[ci][c] == c  # a center is its own parent
+        assert trees[ci][c] == c  # a center is its own parent
         for node in range(16):
-            assert depth(amap, node, ci) == dist[node]
+            assert depth(trees, node, ci) == dist[node]
 
 
 def test_hierarchical_parent_tie_break_lowest_id():
     t = topo.mesh(3, 3)
-    amap = addressing.assign_hierarchical_addresses(t, (0,))
+    trees = addressing.assign_hierarchical_addresses(t, (0,))
     # node 4 has parents 1 and 3 at depth 1; the lowest id wins
-    assert amap.trees[0][4] == 1
+    assert trees[0][4] == 1
 
 
 def test_path_to_center_is_valid_and_descending():
     t = topo.circulant(11, (1, 3))
-    amap = addressing.assign_hierarchical_addresses(t, (0, 6))
+    centers = (0, 6)
+    trees = addressing.assign_hierarchical_addresses(t, centers)
     for ci in range(2):
         for node in range(11):
-            path = topo.successor_route(amap.trees[ci], node)
-            assert path[0] == node and path[-1] == amap.centers[ci]
-            assert len(path) == depth(amap, node, ci) + 1
+            path = topo.successor_route(trees[ci], node)
+            assert path[0] == node and path[-1] == centers[ci]
+            assert len(path) == depth(trees, node, ci) + 1
             for a, b in zip(path, path[1:]):
                 assert t.has_link(a, b)
-                assert depth(amap, b, ci) == depth(amap, a, ci) - 1
+                assert depth(trees, b, ci) == depth(trees, a, ci) - 1
 
 
 def test_hierarchical_validation():

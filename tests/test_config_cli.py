@@ -52,6 +52,12 @@ def test_parse_type_mismatch():
         cfgmod.parse_kv_text("topology.width = four")
 
 
+def test_parse_wireless_enabled_is_a_boolean():
+    assert parse(BASE + "wireless.enabled = false\n").template.wireless.enabled is False
+    with pytest.raises(TypeMismatch, match="wireless.enabled"):
+        cfgmod.parse_kv_text("wireless.enabled = maybe")
+
+
 def test_parse_missing_required():
     with pytest.raises(MissingRequired):
         cfgmod.parse_kv_text("topology.kind = mesh")
@@ -135,6 +141,11 @@ def test_parse_topology_kinds():
     assert exp.template.topology.kind == topo.CIRCULANT
     with pytest.raises(MissingRequired):
         parse("routing.algorithm = greedy\ntopology.kind = circulant\n")
+    fb = parse(
+        "routing.algorithm = greedy\ntopology.kind = flattened_butterfly\n"
+        "topology.rows = 2\ntopology.cols = 3\n"
+    ).template.topology
+    assert fb.kind == topo.FLATTENED_BUTTERFLY and fb.node_count == 6
     with pytest.raises(ConfigError):
         parse("routing.algorithm = greedy\ntopology.kind = moebius\n")
 
@@ -227,8 +238,7 @@ def test_cli_run_missing_file_exit_1(tmp_path, capsys):
     assert rc == 1
 
 
-def test_cli_run_deadlock_exit_2(tmp_path, capsys):
-    text = """
+DEADLOCKING = """
 topology.kind = torus
 topology.width = 4
 topology.height = 4
@@ -240,7 +250,10 @@ sim.warmup_cycles = 100
 sim.measure_cycles = 3000
 sim.drain_cycles = 500
 """
-    rc = cli.main(["run", "--config", write_config(tmp_path, text)])
+
+
+def test_cli_run_deadlock_exit_2(tmp_path, capsys):
+    rc = cli.main(["run", "--config", write_config(tmp_path, DEADLOCKING)])
     assert rc == 2
     assert "protocol violation" in capsys.readouterr().err
 
@@ -270,6 +283,19 @@ def test_cli_sweep_failure_removes_partial_outputs(tmp_path):
     blocker.write_text("not a directory")
     rc = cli.main(["sweep", "--config", config, "--out", str(blocker)])
     assert rc == 1
+
+
+def test_cli_sweep_failure_removes_stale_outputs(tmp_path, capsys):
+    """A variant that raises leaves no results.csv or summary.csv behind,
+    not even those of an earlier sweep into the same directory."""
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("results.csv", "summary.csv"):
+        (out / name).write_text("stale\n")
+    config = write_config(tmp_path, DEADLOCKING + "sweep.rates = 0.05, 0.5\n")
+    assert cli.main(["sweep", "--config", config, "--out", str(out)]) == 2
+    assert "protocol violation" in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 def test_cli_routes_lists_shortest_paths(tmp_path, capsys):
@@ -386,6 +412,24 @@ def test_check_deadlock_output_is_pinned(tmp_path, capsys, family, algorithm):
     cfg = write_config(tmp_path, text)
     assert cli.main(["check-deadlock", "--config", cfg, "--algorithm", algorithm]) == 0
     assert capsys.readouterr().out == DEADLOCK_TABLE[(family, algorithm)]
+
+
+def test_cli_check_deadlock_on_a_topology_file(tmp_path, capsys):
+    """A file topology is judged at one VC; a ring closes the neighborhood
+    method's dependency cycle and a line cannot, and --vcs 0 is refused."""
+    ring, line = tmp_path / "ring.edges", tmp_path / "line.edges"
+    ring.write_text(topo.to_edge_list_text(topo.ring(6)))
+    line.write_text(topo.to_edge_list_text(topo.mesh(4, 1)))
+    args = ["check-deadlock", "--algorithm", "neighborhood", "--topology"]
+    assert cli.main(args + [str(ring)]) == 0
+    assert capsys.readouterr().out == (
+        "deadlock-free: false\ncycle: (0, 1, 0) -> (1, 2, 0) -> (2, 3, 0) -> "
+        "(3, 4, 0) -> (4, 5, 0) -> (5, 0, 0) -> (0, 1, 0)\n"
+    )
+    assert cli.main(args + [str(line)]) == 0
+    assert capsys.readouterr().out == "deadlock-free: true\n"
+    assert cli.main(args + [str(line), "--vcs", "0"]) == 1
+    assert capsys.readouterr().err == "error: --vcs must be >= 1\n"
 
 
 def test_cli_synth_and_score(tmp_path, capsys):

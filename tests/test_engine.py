@@ -13,7 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nocsim import cli, engine, fabric, routing, topology as topo, workload
-from nocsim.errors import ConfigError, DeadlockDetected, LivelockDetected, Unreachable
+from nocsim.errors import (
+    ConfigError,
+    DeadlockDetected,
+    InvertedInterval,
+    LivelockDetected,
+    Unreachable,
+    UnknownElement,
+)
 
 
 def quiet_config(t, algorithm="xy", **kw):
@@ -130,6 +137,23 @@ def test_config_rejects_bad_wireless():
         with pytest.raises(ConfigError):
             cfg.validate()
     quiet_config(topo.mesh(4, 4), wireless=radio).validate()
+
+
+@pytest.mark.parametrize("event,error", [
+    (workload.FaultEvent(("node", 99), 300, workload.INFINITY), UnknownElement),
+    (workload.FaultEvent(("link", 0, 5), 300, 400), UnknownElement),
+    (workload.FaultEvent(("node", 3), 300, 200), InvertedInterval),
+])
+def test_config_rejects_bad_fault_events(event, error):
+    """A schedule built in Python meets the rule of a fault file. Before,
+    the first two passed ``validate`` and raised only at cycle 300, and the
+    third was accepted and never applied."""
+    cfg = quiet_config(
+        topo.mesh(4, 4), fault_schedule=workload.FaultSchedule((event,)),
+        warmup_cycles=100, measure_cycles=500, drain_cycles=200,
+    )
+    with pytest.raises(error):
+        cfg.validate()
 
 
 @pytest.mark.parametrize("entry", [
@@ -604,6 +628,21 @@ def test_measure_saturation_grid_validation():
         engine.measure_saturation(cfg, [0.1, 0.05])
     with pytest.raises(ConfigError):
         engine.measure_saturation(cfg, [0.05, 0.1])  # first rate too high
+
+
+def test_measure_saturation_reports_a_grid_that_never_saturates():
+    """No rate passes 3x the zero-load latency: the last rate, unsaturated."""
+    cfg = quiet_config(
+        topo.mesh(4, 4),
+        traffic=workload.TrafficSpec(injection_rate=0.01, packet_length=4, seed=1),
+        warmup_cycles=200,
+        measure_cycles=1200,
+        drain_cycles=0,
+    )
+    result = engine.measure_saturation(cfg, [0.005, 0.01, 0.02])
+    assert not result.saturated
+    assert result.rate == 0.02
+    assert [rate for rate, _ in result.latencies] == [0.005, 0.01, 0.02]
 
 
 def test_measure_saturation_finds_knee():

@@ -164,10 +164,90 @@ def test_local_queue_makes_flits_only_for_its_head_packet():
     assert [(f.packet, f.arrival, f.hop_count) for f in q.queue] == [(second, 5, 3)] * 3
 
 
+def test_saf_readiness_of_a_local_queue_head_is_the_pipeline_delay():
+    """A local queue holds one packet's flits, all queued in one cycle, so
+    its tail is there with its head: under every policy, SAF included,
+    ``flit_ready`` waits only for the pipeline."""
+    q = fabric.LocalQueue()
+    q.push_packet(packet(3), 7, 0)
+    q.push_packet(packet(2, pid=1), 9, 0)  # waits as a packet behind it
+    head = q.queue[0]
+    for policy in fabric.SWITCHING_POLICIES:
+        assert not fabric.flit_ready(policy, q, head, 7, pipeline=1)
+        assert fabric.flit_ready(policy, q, head, 8, pipeline=1)
+        assert not fabric.flit_ready(policy, q, head, 8, pipeline=2)
+
+
+# -- head of an input slot ---------------------------------------------------
+
+DECISION = ("view", 5, 0, None)  # (view, next node, out port, downstream VC)
+
+
+def test_head_pops_a_dropped_worms_flits_and_releases_its_vc():
+    vc = fabric.InputVC(depth=4)
+    dead = packet(4)
+    head, body, _, _ = fabric.make_flits(dead)
+    vc.push(head, 0)
+    vc.push(body, 1)
+    vc.decision = DECISION
+    dead.dropped = True
+    assert vc.head() is None
+    assert vc.queue == [] and vc.bound is None and vc.decision is None
+
+
+def test_head_releases_a_dropped_worm_with_an_empty_queue():
+    """The head left, and the rest of the worm died upstream: its tail will
+    never arrive to release the VC."""
+    vc = fabric.InputVC(depth=4)
+    dead = packet(4)
+    vc.push(head_of(dead), 0)
+    vc.decision = DECISION
+    vc.pop()
+    dead.dropped = True
+    assert vc.head() is None
+    assert vc.bound is None and vc.decision is None
+
+
+def test_head_keeps_a_live_worms_binding_with_an_empty_queue():
+    vc = fabric.InputVC(depth=4)
+    live = packet(4)
+    vc.push(head_of(live), 0)
+    vc.decision = DECISION
+    vc.pop()
+    assert vc.head() is None
+    assert vc.bound is live and vc.decision is DECISION
+
+
+def test_head_of_a_local_queue_skips_a_dropped_packet_to_the_live_one():
+    q = fabric.LocalQueue()
+    dead, live = packet(2), packet(3, pid=1)
+    q.push_packet(dead, 4, 0)
+    q.push_packet(live, 6, 1)
+    q.decision = DECISION
+    dead.dropped = True
+    flit = q.head()
+    assert flit.is_head and flit.packet is live and flit.arrival == 6
+    assert [f.packet for f in q.queue] == [live] * 3 and not q.waiting
+    assert q.decision is None
+
+
 # -- router state ------------------------------------------------------------
 
+def test_router_state_slots_in_arbitration_order():
+    """Wired inputs by (port, VC), each with the neighbour at the far end
+    of its port, then the local queue; a slot's index is its rank."""
+    r = fabric.RouterState((7, 8, 9), vc_count=2, depth=4)
+    assert r.slots == [
+        (0, r.inputs[(0, 0)], 7, 0), (1, r.inputs[(0, 1)], 7, 1),
+        (2, r.inputs[(1, 0)], 8, 0), (3, r.inputs[(1, 1)], 8, 1),
+        (4, r.inputs[(2, 0)], 9, 0), (5, r.inputs[(2, 1)], 9, 1),
+        (6, r.local, None, None),
+    ]
+    assert r.rr == [0, 0, 0]
+
+
 def test_router_state_layout_and_congestion():
-    r = fabric.RouterState(n_ports=3, vc_count=2, depth=4)
+    r = fabric.RouterState((7, 8, 9), vc_count=2, depth=4)
     assert set(r.inputs) == {(p, v) for p in range(3) for v in range(2)}
     p = packet(2)
     for i, f in enumerate(fabric.make_flits(p)):

@@ -425,19 +425,19 @@ def test_hierarchical_route_trivial():
 def test_hierarchical_route_valid_and_bounded():
     t = topo.circulant(12, (1, 3))
     centers = addressing.default_anchors(t, 2)
-    amap = addressing.assign_hierarchical_addresses(t, centers)
+    trees = addressing.assign_hierarchical_addresses(t, centers)
     view = topo.TopologyView(t)
     for src in range(12):
         for dst in range(12):
             if src == dst:
                 continue
-            route = routing.hierarchical_route(amap, src, dst)
+            route = routing.hierarchical_route(trees, src, dst)
             assert_valid_route(view, route, src, dst)
             # bounded by the best up-and-down trip over any center
             bound = min(
                 len(topo.successor_route(tree, src)) - 1
                 + len(topo.successor_route(tree, dst)) - 1
-                for tree in amap.trees
+                for tree in trees
             )
             assert len(route) - 1 <= bound
 

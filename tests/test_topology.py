@@ -266,6 +266,21 @@ def test_synthesize_matches_exhaustive_optimum():
         assert s.max_degree <= d
 
 
+def test_synthesize_falls_back_to_the_exhaustive_optimum(monkeypatch):
+    """One restart that finds no feasible graph: for n <= 8 the answer is
+    the exhaustive optimum, here the 5-cycle."""
+    calls = []
+    exact = topo.exhaustive_optimum
+    monkeypatch.setattr(
+        topo, "exhaustive_optimum", lambda *args: calls.append(args) or exact(*args)
+    )
+    t = topo.synthesize(5, 2, 2, seed=1, budget=1)
+    assert calls == [(5, 2, 2)]
+    assert len(t.undirected_edges()) == 5
+    s = topo.score(t)
+    assert s.diameter == 2 and s.max_degree == 2
+
+
 def test_synthesize_diameter_one_returns_complete_graph():
     t = topo.synthesize(4, 3, 1, seed=0)
     assert set(t.undirected_edges()) == set(itertools.combinations(range(4), 2))

@@ -9,11 +9,17 @@ once per (workload, seed); each run left
 checkouts are paired by (workload, seed). For every workload and every
 end-to-end metric of ``BENCHMARK.json`` the record holds both sides'
 median and quartiles over the paired runs' medians, the pair count and
-the number of pairs in which the change did better. It also holds the
-failed-op counts, the host (nproc, CPU, Python, numpy), the tier-1 test
-wall seconds measured on each checkout (``--tier1-s``; null when not
-given) and the net line count of ``src/``. Writes ``BENCH_<N>.json`` at the root of this
-repository unless ``--out`` says otherwise, and never under ``bench/``.
+the number of pairs in which the change did better, and two verdicts:
+whether the change median is worse than the parent median by more than
+the metric's ``bound`` (a fraction of the parent median), and whether it
+lies inside the parent's q1-q3. It also holds the failed-op counts, the
+host (nproc, CPU, Python, numpy), whether each side's
+``src/nocsim/__pycache__`` holds bytecode (a warning when the sides
+differ: a checkout without it compiles every module in every job), the
+tier-1 test wall seconds measured on each checkout (``--tier1-s``; null
+when not given) and the net line count of ``src/``. Writes
+``BENCH_<N>.json`` at the root of this repository unless ``--out`` says
+otherwise, and never under ``bench/``.
 """
 
 from __future__ import annotations
@@ -58,6 +64,11 @@ def src_lines(checkout):
     return total
 
 
+def has_bytecode(checkout):
+    """Whether the checkout's ``src/nocsim/__pycache__`` holds a ``.pyc``."""
+    return bool(glob.glob(os.path.join(checkout, "src", "nocsim", "__pycache__", "*.pyc")))
+
+
 def host(runs):
     """The host fields of the runs' environments, one entry per distinct one."""
     seen = []
@@ -69,7 +80,8 @@ def host(runs):
 
 
 def compare(parent_runs, change_runs, metrics):
-    """Per workload and metric: both sides' spreads, pairs and change wins."""
+    """Per workload and metric: both sides' spreads, pairs, change wins and
+    verdicts; ``metrics`` lists (name, better, bound)."""
     workloads = {}
     for key in sorted(parent_runs.keys() & change_runs.keys()):
         workloads.setdefault(key[0], []).append(key)
@@ -83,15 +95,22 @@ def compare(parent_runs, change_runs, metrics):
             },
             "metrics": {},
         }
-        for name, better in metrics:
+        for name, better, bound in metrics:
             parent = [parent_runs[k]["stats"][name]["median"] for k in keys]
             change = [change_runs[k]["stats"][name]["median"] for k in keys]
             wins = sum(
                 (c < p) if better == "lower" else (c > p) for p, c in zip(parent, change)
             )
+            p, c = spread(parent), spread(change)
+            if better == "lower":
+                worse = c["median"] > p["median"] * (1 + bound)
+            else:
+                worse = c["median"] < p["median"] * (1 - bound)
             row["metrics"][name] = {
-                "parent": spread(parent), "change": spread(change),
+                "parent": p, "change": c,
                 "pairs": len(keys), "change_better": wins,
+                "bound": bound, "worse_than_bound": worse,
+                "inside_parent_iqr": p["q1"] <= c["median"] <= p["q3"],
             }
     return table
 
@@ -100,7 +119,9 @@ def record(parent, change, pr, tier1_s=None):
     """The ``BENCH_<pr>.json`` object for two checkouts' results;
     ``tier1_s`` is (parent, change) tier-1 wall seconds, or None."""
     with open(os.path.join(change, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = [(m["name"], m["better"]) for m in json.load(fh)["end_to_end"]]
+        metrics = [
+            (m["name"], m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]
+        ]
     parent_runs, change_runs = load_runs(parent), load_runs(change)
     paired = parent_runs.keys() & change_runs.keys()
     parent_lines, change_lines = src_lines(parent), src_lines(change)
@@ -114,6 +135,7 @@ def record(parent, change, pr, tier1_s=None):
         ),
         "host": {"parent": host(parent_runs), "change": host(change_runs)},
         "tier1_s": tier1_s and {"parent": tier1_s[0], "change": tier1_s[1]},
+        "bytecode": {"parent": has_bytecode(parent), "change": has_bytecode(change)},
         "src_lines": {
             "parent": parent_lines, "change": change_lines,
             "net": change_lines - parent_lines,
@@ -143,11 +165,21 @@ def main(argv=None):
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
+    bytecode = result["bytecode"]
+    if bytecode["parent"] != bytecode["change"]:
+        print("warning: src/nocsim/__pycache__ holds bytecode on one side only "
+              f"({bytecode}); the other compiled its modules in every job",
+              file=sys.stderr)
     for workload, row in result["workloads"].items():
         for name, m in row["metrics"].items():
-            print(f"{workload} {name}: {m['parent']['median']:.6g} -> "
+            parent = m["parent"]
+            print(f"{workload} {name}: {parent['median']:.6g} -> "
                   f"{m['change']['median']:.6g}, change better in "
-                  f"{m['change_better']}/{m['pairs']}")
+                  f"{m['change_better']}/{m['pairs']}; "
+                  f"{'WORSE than' if m['worse_than_bound'] else 'within'} "
+                  f"bound {m['bound']:g}; "
+                  f"{'inside' if m['inside_parent_iqr'] else 'outside'} parent "
+                  f"q1-q3 [{parent['q1']:.6g}, {parent['q3']:.6g}]")
     print(f"wrote {out}")
     return 0
 

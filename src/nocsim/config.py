@@ -184,6 +184,8 @@ def _parse_permutation(text, n):
             raise ConfigSyntaxError("expected '<src> <dst>'", ln_no, 1) from None
         if not (0 <= src < n and 0 <= dst < n):
             raise ConfigError(f"permutation entry {src} {dst} out of range")
+        if src in table:
+            raise ConfigSyntaxError(f"second destination for source {src}", ln_no, 1)
         table[src] = dst
     return tuple(table.get(u, u) for u in range(n))
 

@@ -15,17 +15,16 @@ of the network:
 
 * Active set. ``Simulation.active`` holds exactly the routers with a
   queued flit (in an input VC or the local queue) or an input VC still
-  bound to a packet, leaving out failed routers that hold only dropped
-  packets. Packets waiting at a source sit behind its local queue's
-  head-of-line flits, so they never hold a router in the set by
-  themselves. A router joins on every push (arrival, injection,
-  radio re-injection) and leaves when a send or a discard leaves it empty
-  and unbound. A bound VC with an empty queue keeps its router in the set
-  because its packet may have been dropped upstream: the visit that
-  releases the binding changes what ``flow_control_accept`` upstream sees.
-  A fault change drops everything a failed router holds and takes the
-  router out of the set, so its leftovers hold up no idle jump; a router
-  that heals rejoins, and its first visit discards the leftovers and
+  bound to a packet, failed routers included. Packets waiting at a
+  source sit behind its local queue's head-of-line flits, so they never
+  hold a router in the set by themselves. A router joins on every push
+  (arrival, injection, radio re-injection) and leaves when a send or a
+  discard leaves it empty and unbound. A bound VC with an empty queue
+  keeps its router in the set because its packet may have been dropped
+  upstream: the visit that releases the binding changes what
+  ``flow_control_accept`` upstream sees. A fault change drops everything
+  a failed router holds, and the send phase skips the router, so its
+  leftovers stay until it heals; its first visit then discards them and
   releases their bindings. The send phase visits the set in ascending
   node id, the order of a full scan, because looking at a slot may drop
   packets or discard flits (``fabric.InputSlot.head``, ``_decision_for``)
@@ -53,9 +52,9 @@ of the network:
   while that view is current, so its link is up and both ends are alive
   (a failed node takes its links down); and a fault change,
   applied before the arrivals of its cycle, drops every packet with a flit
-  on a link or into a node that fails. Only the slots of a failed router
-  itself are skipped, by a set lookup in the view's failed nodes: a radio
-  delivery into a failed hub puts it back in the active set. Flow
+  on a link or into a node that fails, and every worm cut off from its
+  tail by a failed link. Only the slots of a failed router itself are
+  skipped, by a set lookup in the view's failed nodes. Flow
   control is one rule for every switching policy
   (``fabric.flow_control_accept``), and so is readiness, for the local
   queue too (``fabric.flit_ready``). Arbitration is one pass over a
@@ -69,16 +68,16 @@ of the network:
   cycle). A send carries its output port and bumps
   ``port_busy[u][out_port]`` during measurement; ``_report`` maps the
   counters back to (u, v) links.
-* Idle cycles. When the active set and the arrivals in flight are empty
-  and the radio holds nothing (``WirelessHubState.idle``), no packet is
-  in flight, and
-  such an empty network cannot change until the next fault
-  change, preloaded packet or injection hit (hits are found by drawing
-  blocks ahead, up to the end of the injection window). The loop jumps
-  straight to the earliest of these, or to the end; one rule covers the
-  injection window and the drain. An idle radio passes the token once per
-  cycle, so the jump advances it by the skipped cycle count mod the number
-  of hubs.
+* Idle cycles. The packet ledger (``_in_flight``), which the deadlock
+  check and the conservation audit read too, decides. With no packet in
+  flight, routers and links hold only dropped leftovers, popped whenever
+  they are next looked at, and the radio, which holds only live packets,
+  is empty. Such a network cannot change until the next fault change,
+  preloaded packet or injection hit (hits are found by drawing blocks
+  ahead, up to the end of the injection window). The loop jumps straight
+  to the earliest of these, or to the end; one rule covers the injection
+  window and the drain. An idle radio passes the token once per cycle, so
+  the jump advances it by the skipped cycle count mod the number of hubs.
 
 The radio's state, each node's hub and the admission rule with its
 per-hub reservations included, lives in ``fabric.WirelessHubState`` alone.
@@ -146,7 +145,12 @@ class SimConfig:
         return 2 if self.topology.kind == topo.TORUS else 1
 
     def validate(self):
-        routing.lookup(self.algorithm, self.topology.kind)
+        algorithm = routing.lookup(self.algorithm, self.topology.kind)
+        n = self.topology.node_count
+        if algorithm.coordinates and not 1 <= self.anchor_count <= n:
+            raise ConfigError(f"routing.anchors = {self.anchor_count} outside 1..{n}")
+        if algorithm.centers and not 1 <= self.center_count <= n:
+            raise ConfigError(f"routing.centers = {self.center_count} outside 1..{n}")
         if self.switching not in fabric.SWITCHING_POLICIES:
             raise ConfigError(f"unknown switching policy {self.switching!r}")
         if self.switching in (fabric.SAF, fabric.VCT):
@@ -169,7 +173,6 @@ class SimConfig:
                 raise ConfigError("wireless w_cycles and queue_cap must be >= 1")
         for event in self.fault_schedule.events:
             workload.check_fault_event(event, self.topology)
-        n = self.topology.node_count
         inject_until = self.warmup_cycles + self.measure_cycles
         for entry in self.preloaded:
             cycle, src, dst = entry
@@ -405,7 +408,7 @@ class Simulation:
                         f"at cycle {now}"
                     )
             now += 1
-            if self._network_idle():
+            if not self._in_flight():
                 # nothing can happen before the next fault change, preloaded
                 # packet or injection hit
                 skip_to = total
@@ -425,31 +428,26 @@ class Simulation:
     # -- phases --------------------------------------------------------
 
     def _apply_faults(self, now):
-        was_failed = self.view.failed_nodes
+        """Switch to the view of cycle ``now`` and drop every packet the
+        change cuts: all that a failed router holds, waiting packets
+        included, every flit on a failed link (the view's failed links
+        include every link of a failed node), and every worm bound to a VC
+        whose input link failed before its tail arrived, even while that
+        VC's queue is empty. True when this drops a packet."""
         self.view = topo.TopologyView(self.topo, *workload.faults_at(self.schedule, now))
-        nodes, links = self.view.failed_nodes, self.view.failed_links
         self.ctx.set_view(self.view)
-        # a healed router may hold dropped leftovers and bindings to release
-        self.active |= was_failed - nodes
-        dead = set()
-        # packets occupying failed elements, waiting ones included
-        for u in nodes:
-            for packet, _ in self.routers[u].holdings():
-                dead.add(packet)
-        for up, node, _, f in self.pending:
-            if (up, node) in links or node in nodes or up in nodes:
-                dead.add(f.packet)
-        for u in self.active:
-            for _, holder, up, _ in self.routers[u].slots:
-                q = holder.queue
-                if q and (up, u) in links and not q[-1].is_tail:
-                    # flits mid-transfer over a failed link: drop the packet
-                    dead.add(holder.bound)
-        for packet in dead:
+        links = self.view.failed_links
+        cut = [p for u in self.view.failed_nodes for p, _ in self.routers[u].holdings()]
+        cut += [f.packet for up, node, _, f in self.pending if (up, node) in links]
+        for up, node in links:
+            for vc in self.down_vc[up][self.topo.port_to(up, node)]:
+                q = vc.queue
+                if vc.bound is not None and not (q and q[-1].is_tail):
+                    cut.append(vc.bound)
+        dropped = self.dropped_packets
+        for packet in cut:
             self._drop_packet(packet)
-        # a failed router holds only dropped packets now: none is active
-        self.active -= nodes
-        return bool(dead)
+        return self.dropped_packets > dropped
 
     def _drop_packet(self, packet):
         """The one place a drop is counted, for the whole packet; its flits
@@ -688,17 +686,13 @@ class Simulation:
 
     # -- accounting ----------------------------------------------------
 
-    def _network_idle(self):
-        """No live flit anywhere: no router is active (a failed one holds
-        only dropped packets), nothing is on a link and the radio is idle."""
-        return not self.active and not self.pending and (
-            self.wireless is None or self.wireless.idle()
-        )
-
     def _in_flight(self):
-        """Packets injected and neither delivered nor dropped. Each has a
-        flit somewhere: buffered, waiting at its source, on a link, with the
-        radio, or at least its tail when its bodies were consumed early."""
+        """Packets injected and neither delivered nor dropped: the run's one
+        liveness fact, read by the idle jump, the deadlock check and the
+        conservation audit. Each has a flit somewhere: buffered, waiting at
+        its source, on a link, with the radio, or at least its tail when its
+        bodies were consumed early. At zero, what routers and links still
+        hold is dropped leftovers, popped whenever they are next looked at."""
         return self.injected_packets - self.delivered_packets - self.dropped_packets
 
     def _check_conservation(self):

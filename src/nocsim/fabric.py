@@ -260,7 +260,9 @@ class WirelessHubState:
     the packet or it is dropped (``release``). One shared channel with a
     round-robin token MAC: at most one hub transmits at a time, for
     ``w_cycles``; an idle token holder passes the token in one cycle, and
-    the token also advances after every completed transmission.
+    the token also advances after every completed transmission. It holds
+    only live packets: a packet reaches it whole, with no flit left on the
+    wires for a fault to cut, so with no packet in flight it is empty.
     """
 
     def __init__(self, hubs, w_cycles, distance_threshold, queue_cap, distance_to):
@@ -326,10 +328,6 @@ class WirelessHubState:
         else:
             self.token = (self.token + 1) % len(self.hubs)
         return delivered
-
-    def idle(self):
-        """Nothing queued and nothing on air."""
-        return self.current_tx is None and not any(self.queues.values())
 
     def packets(self):
         """Every packet the radio holds, queued or on air."""

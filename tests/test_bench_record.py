@@ -86,6 +86,7 @@ def test_record_pairs_runs_by_workload_and_seed(checkouts):
     assert rec["unpaired"] == [["change", "sweep", 5], ["parent", "mesh16", 9]]
     assert rec["host"] == {"parent": [HOST], "change": [HOST]}
     assert rec["tier1_s"] is None  # not measured
+    assert rec["bytecode"] == {"parent": False, "change": False}
     assert rec["src_lines"] == {"parent": 100, "change": 93, "net": -7}
 
 
@@ -124,3 +125,65 @@ def test_tier1_seconds_are_recorded_next_to_the_host(checkouts, tmp_path):
             "--parent", str(parent), "--change", str(change), "--pr", "15",
             "--tier1-s", "61.5", "--out", str(out),
         ])
+
+
+def test_verdicts_against_the_bound_and_the_parent_quartiles(tmp_path, capsys):
+    """wall_s 30 % slower is worse than its 0.25 bound, and outside the
+    parent's q1-q3; peak_rss_mb 2 % larger is within its 0.05 bound, and
+    inside; a higher-is-better metric is worse when it falls by more than
+    its bound."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    write_checkout(parent, 10, [
+        ("w", seed, medians(wall, rss), 0)
+        for seed, wall, rss in ((1, 0.9, 49.0), (2, 1.0, 50.0), (3, 1.1, 51.0))
+    ])
+    write_checkout(change, 10, [
+        ("w", seed, medians(wall, rss), 0)
+        for seed, wall, rss in ((1, 1.2, 50.0), (2, 1.3, 51.0), (3, 1.4, 52.0))
+    ])
+    rec = bench_record.record(str(parent), str(change), 22)
+    metrics = rec["workloads"]["w"]["metrics"]
+    wall, rss, setup = metrics["wall_s"], metrics["peak_rss_mb"], metrics["setup_s"]
+    assert (wall["bound"], wall["worse_than_bound"], wall["inside_parent_iqr"]) == (
+        0.25, True, False)
+    assert (rss["bound"], rss["worse_than_bound"], rss["inside_parent_iqr"]) == (
+        0.05, False, True)
+    assert (setup["worse_than_bound"], setup["inside_parent_iqr"]) == (False, True)
+
+    assert bench_record.main([
+        "--parent", str(parent), "--change", str(change), "--pr", "22",
+        "--out", str(tmp_path / "BENCH_22.json"),
+    ]) == 0
+    out = capsys.readouterr().out
+    assert ("w wall_s: 1 -> 1.3, change better in 0/3; WORSE than bound 0.25; "
+            "outside parent q1-q3 [0.9, 1.1]") in out
+    assert ("w peak_rss_mb: 50 -> 51, change better in 0/3; within bound 0.05; "
+            "inside parent q1-q3 [49, 51]") in out
+
+    runs = {
+        side: {("w", 1): {"failed": 0, "stats": {"ratio": {"median": value}}}}
+        for side, value in (("parent", 1.0), ("change", 0.85))
+    }
+    ratio = bench_record.compare(
+        runs["parent"], runs["change"], [("ratio", "higher", 0.1)])["w"]["metrics"]["ratio"]
+    assert ratio["worse_than_bound"] and ratio["change_better"] == 0
+
+
+def test_bytecode_on_one_side_only_is_recorded_and_warned(checkouts, tmp_path, capsys):
+    parent, change = checkouts
+    cache = parent / "src" / "nocsim" / "__pycache__"
+    cache.mkdir(parents=True)
+    (cache / "engine.cpython-311.pyc").write_bytes(b"")
+    argv = ["--parent", str(parent), "--change", str(change), "--pr", "15",
+            "--out", str(tmp_path / "BENCH_15.json")]
+    assert bench_record.main(argv) == 0
+    rec = json.loads((tmp_path / "BENCH_15.json").read_text())
+    assert rec["bytecode"] == {"parent": True, "change": False}
+    assert "warning: src/nocsim/__pycache__" in capsys.readouterr().err
+    cache = change / "src" / "nocsim" / "__pycache__"
+    cache.mkdir(parents=True)
+    (cache / "engine.cpython-311.pyc").write_bytes(b"")
+    assert bench_record.main(argv) == 0
+    assert "warning" not in capsys.readouterr().err

@@ -119,7 +119,9 @@ def test_parse_permutation_file(tmp_path):
     assert traffic.permutation == (15, 1, 2, 3, 4, 6, *range(6, 15), 0)
 
 
-@pytest.mark.parametrize("text,line", [("0 15\n5\n", 2), ("0 1 2\n", 1), ("x 3\n", 1)])
+@pytest.mark.parametrize("text,line", [
+    ("0 15\n5\n", 2), ("0 1 2\n", 1), ("x 3\n", 1), ("0 15\n0 14\n", 2),
+])
 def test_parse_permutation_file_rejects_malformed_lines(tmp_path, text, line):
     (tmp_path / "perm.txt").write_text(text)
     with pytest.raises(ConfigSyntaxError) as exc:
@@ -163,10 +165,25 @@ def test_parse_topology_file_and_faults(tmp_path):
 
 
 def test_invalid_variant_rejected_up_front():
-    # dyxy on a torus is invalid for every variant
-    text = BASE.replace("mesh", "torus") + "sweep.algorithms = xy, dyxy\n"
-    with pytest.raises(ConfigError):
-        parse(text)
+    """A sweep variant that could not run is rejected when the config is
+    parsed, before any variant runs: dyxy on a torus, and an anchor or
+    center count outside 1..16 for the variant that reads it (xy reads
+    neither, so the template alone passed, and the sweep once ran the xy
+    variant before failing with a message that named no key)."""
+    for text, key in (
+        (BASE.replace("mesh", "torus") + "sweep.algorithms = xy, dyxy\n", "dyxy"),
+        (BASE + "routing.anchors = 0\nsweep.algorithms = xy, greedy\n", "routing.anchors"),
+        (BASE + "routing.anchors = 17\nsweep.algorithms = xy, greedy_fallback\n",
+         "routing.anchors"),
+        (BASE + "routing.centers = 0\nsweep.algorithms = xy, hierarchical\n",
+         "routing.centers"),
+        (BASE + "routing.centers = 17\nsweep.algorithms = xy, hierarchical\n",
+         "routing.centers"),
+    ):
+        with pytest.raises(ConfigError, match=key):
+            parse(text)
+    # a count only the unused scheme would read is not checked
+    parse(BASE + "routing.centers = 0\nsweep.algorithms = xy, greedy\n")
 
 
 # -- CLI ---------------------------------------------------------------------

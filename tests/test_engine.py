@@ -800,12 +800,8 @@ def test_active_set_matches_a_full_walk_after_every_cycle(case):
             for u in occupied_routers(sim)
         )
         progress = send_phase(now)
-        # a failed router holds only dropped packets and leaves the set
-        occupied = {
-            u for u in occupied_routers(sim)
-            if sim.view.has_node(u)
-            or any(not p.dropped for p, _ in sim.routers[u].holdings())
-        }
+        # failed routers too: one holding dropped leftovers stays in the set
+        occupied = occupied_routers(sim)
         assert sim.active == occupied, now
         seen["busy"] += bool(occupied)
         return progress
@@ -975,13 +971,13 @@ def stepped_cycles(sim):
     return sim.run(), stepped
 
 
-def test_a_router_failing_with_flits_leaves_the_active_set():
+def test_a_router_failing_with_flits_does_not_hold_up_the_idle_jump():
     """Node 4 fails at cycle 110, the start of the drain, holding a flit of
     the 8-flit worm 0 -> 35 and a VC bound to it, and heals at 600. The
-    worm is dropped, the router leaves the active set with it, and the run
-    jumps over the idle cycles up to the heal. Report bytes were pinned
-    when the failed router stayed active, and every cycle up to the heal
-    was stepped."""
+    worm is dropped, so no packet is in flight, and the run jumps over the
+    idle cycles up to the heal, though the failed router keeps its dropped
+    leftovers, and so its place in the active set, until then. Report
+    bytes were pinned when every cycle up to the heal was stepped."""
     t = topo.mesh(6, 6)
     sim = engine.Simulation(quiet_config(
         t,
@@ -997,6 +993,8 @@ def test_a_router_failing_with_flits_leaves_the_active_set():
     def recorded_apply_faults(now):
         if now == 110:
             held_at_failure.extend(p.pid for p, _ in sim.routers[4].holdings())
+        if now == 600:
+            held_at_failure.append(4 in sim.active)
         return apply_faults(now)
 
     sim._apply_faults = recorded_apply_faults
@@ -1007,9 +1005,63 @@ def test_a_router_failing_with_flits_leaves_the_active_set():
         "livelock=0\ndeadlock=0\n"
     )
     assert report.injected == 3 and report.residual == 0
-    assert held_at_failure == [2]
+    assert held_at_failure == [2, True]
     assert {110, 600} <= set(stepped)
     assert sum(110 < c < 600 for c in stepped) < 10  # the idle jump fired
+
+
+def line_worm(faults, buffer_depth):
+    """One 8-flit packet 0 -> 3 on the line 0-1-2-3 (xy, wormhole), with
+    the fault schedule ``faults``."""
+    t = topo.mesh(4, 1)
+    return engine.Simulation(quiet_config(
+        t,
+        traffic=workload.TrafficSpec(injection_rate=0.0, packet_length=8),
+        buffer_depth=buffer_depth,
+        preloaded=((0, 0, 3),),
+        fault_schedule=workload.parse_fault_schedule(faults, t),
+    ))
+
+
+LINE_WORM_DROPPED = (
+    "delivered=0\ndropped=1\navg_latency=0.000000\np99_latency=0.000000\n"
+    "throughput=0.000000\nwireless_share=0.000000\nlivelock=0\ndeadlock=0\n"
+)
+
+
+@pytest.mark.parametrize("cycle", [4, 7, 10, 13, 16, 19])
+def test_a_cut_link_drops_a_worm_whose_vc_is_momentarily_empty(cycle):
+    """With one-flit buffers, link 0-1 fails at a cycle when node 1's VC is
+    bound to the worm but holds none of its flits: the fault change drops
+    the worm there, not a later recheck of its route upstream."""
+    sim = line_worm(f"link 0 1 {cycle} inf\n", buffer_depth=1)
+    apply_faults = sim._apply_faults
+    seen = []
+
+    def recorded_apply_faults(now):
+        vc = sim.down_vc[0][sim.topo.port_to(0, 1)][0]
+        bound_empty = vc.bound is not None and not vc.queue
+        progress = apply_faults(now)
+        # applied again, the change cuts only a dropped packet: no progress
+        seen.append((now, bound_empty, progress, apply_faults(now), sim.dropped_packets))
+        return progress
+
+    sim._apply_faults = recorded_apply_faults
+    report = sim.run()
+    assert seen == [(cycle, True, True, False, 1)]
+    assert report.serialize() == LINE_WORM_DROPPED
+
+
+def test_the_idle_jump_waits_for_no_packet_in_flight_not_for_empty_links():
+    """Link 2-3 fails at cycle 4, as the worm's head reaches node 2,
+    which finds no route and drops the packet after nodes 0 and 1 have each
+    sent one of its flits that cycle. With nothing in flight, the run jumps
+    to the end at once, without stepping cycle 5 to pop the two flits on
+    links 0-1 and 1-2. Report bytes were pinned when cycle 5 was stepped."""
+    report, stepped = stepped_cycles(line_worm("link 2 3 4 inf\n", buffer_depth=2))
+    assert stepped == [0, 1, 2, 3, 4]
+    assert report.serialize() == LINE_WORM_DROPPED
+    assert report.residual == 0
 
 
 def test_injection_window_jumps_at_rate_zero():

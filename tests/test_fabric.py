@@ -309,12 +309,12 @@ def test_mac_serializes_competing_hubs():
     for cycle in range(40):
         out = ws.step(cycle)
         assert len(out) <= 1
-        assert ws.current_tx is None or ws.busy_until is not None
+        # the channel is busy exactly while a packet is on air
+        assert (ws.current_tx is None) == (ws.busy_until is None)
         assert len(list(ws.packets())) == 6 - len(delivered) - len(out)
-        assert ws.idle() == (ws.busy_until is None and not any(ws.queues.values()))
         delivered += out
     assert [p.pid for p in delivered] == [0, 1, 2, 3, 4, 5]
-    assert ws.idle() and not list(ws.packets())
+    assert ws.busy_until is None and not list(ws.packets())
 
 
 def trip(pid, src, dst):

@@ -1,7 +1,7 @@
 """Record a parent-versus-change benchmark comparison as ``BENCH_<pr>.json``.
 
     python3 scripts/bench_record.py --parent DIR --change DIR --pr N
-        [--tier1-s PARENT CHANGE] [--out FILE]
+        [--tier1-s PARENT CHANGE] [--claim METRIC:WORKLOAD] [--out FILE]
 
 ``DIR`` is a checkout in which ``bench/run.py --trace 0`` has been run,
 once per (workload, seed); each run left
@@ -17,7 +17,12 @@ host (nproc, CPU, Python, numpy), whether each side's
 ``src/nocsim/__pycache__`` holds bytecode (a warning when the sides
 differ: a checkout without it compiles every module in every job), the
 tier-1 test wall seconds measured on each checkout (``--tier1-s``; null
-when not given) and the net line count of ``src/``. Writes
+when not given) and the net line count of ``src/``. With ``--claim``, it
+also checks a claimed gain on one (metric, workload): the median and
+quartiles of the per-pair ratios change/parent, the number of pairs the
+change won, whether the change median beats the parent's by more than
+the metric's ``bound``, and whether it beats it by more than the width
+of the parent's q1-q3. Writes
 ``BENCH_<N>.json`` at the root of this repository unless ``--out`` says
 otherwise, and never under ``bench/``.
 """
@@ -115,9 +120,34 @@ def compare(parent_runs, change_runs, metrics):
     return table
 
 
-def record(parent, change, pr, tier1_s=None):
+def check_claim(parent_runs, change_runs, workload, metric, better, bound):
+    """A claimed gain in ``metric`` on ``workload`` over the paired runs:
+    the per-pair ratios change/parent, the pairs the change won, and whether
+    its median beats the parent's by more than ``bound`` (a fraction of the
+    parent median) and by more than the width of the parent's q1-q3; None
+    when no pair of that workload was run."""
+    keys = sorted(k for k in parent_runs.keys() & change_runs.keys() if k[0] == workload)
+    if not keys:
+        return None
+    parent = [parent_runs[k]["stats"][metric]["median"] for k in keys]
+    change = [change_runs[k]["stats"][metric]["median"] for k in keys]
+    sign = 1 if better == "lower" else -1  # > 0: the change did better
+    p = spread(parent)
+    gain = sign * (p["median"] - spread(change)["median"])
+    return {
+        "metric": metric, "workload": workload, "better": better, "bound": bound,
+        "pairs": len(keys),
+        "ratio": spread([c / pv for pv, c in zip(parent, change)]),
+        "change_better": sum(sign * (pv - c) > 0 for pv, c in zip(parent, change)),
+        "beats_bound": gain > bound * p["median"],
+        "beats_parent_iqr": gain > p["q3"] - p["q1"],
+    }
+
+
+def record(parent, change, pr, tier1_s=None, claim=None):
     """The ``BENCH_<pr>.json`` object for two checkouts' results;
-    ``tier1_s`` is (parent, change) tier-1 wall seconds, or None."""
+    ``tier1_s`` is (parent, change) tier-1 wall seconds, or None; ``claim``
+    is a claimed (metric, workload), or None."""
     with open(os.path.join(change, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = [
             (m["name"], m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]
@@ -125,7 +155,7 @@ def record(parent, change, pr, tier1_s=None):
     parent_runs, change_runs = load_runs(parent), load_runs(change)
     paired = parent_runs.keys() & change_runs.keys()
     parent_lines, change_lines = src_lines(parent), src_lines(change)
-    return {
+    result = {
         "pr": pr,
         "workloads": compare(parent_runs, change_runs, metrics),
         "unpaired": sorted(
@@ -141,6 +171,24 @@ def record(parent, change, pr, tier1_s=None):
             "net": change_lines - parent_lines,
         },
     }
+    if claim is not None:
+        metric, workload = claim
+        _, better, bound = next(m for m in metrics if m[0] == metric)
+        result["claim"] = check_claim(
+            parent_runs, change_runs, workload, metric, better, bound)
+    return result
+
+
+def parse_claim(text):
+    """``METRIC:WORKLOAD`` as (metric, workload), the metric an end-to-end
+    one of ``BENCHMARK.json``."""
+    metric, sep, workload = text.partition(":")
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        names = [m["name"] for m in json.load(fh)["end_to_end"]]
+    if not sep or not workload or metric not in names:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not METRIC:WORKLOAD with METRIC one of {', '.join(names)}")
+    return metric, workload
 
 
 def main(argv=None):
@@ -150,6 +198,8 @@ def main(argv=None):
     parser.add_argument("--pr", required=True, type=int, help="number in the file name")
     parser.add_argument("--tier1-s", type=float, nargs=2, metavar=("PARENT", "CHANGE"),
                         help="tier-1 test wall seconds measured on each checkout")
+    parser.add_argument("--claim", type=parse_claim, metavar="METRIC:WORKLOAD",
+                        help="check a claimed gain in one end-to-end metric")
     parser.add_argument("--out", help="output file (default: BENCH_<pr>.json at the root)")
     args = parser.parse_args(argv)
 
@@ -158,9 +208,12 @@ def main(argv=None):
     if out.startswith(bench_dir):
         print(f"error: {out} lies under bench/", file=sys.stderr)
         return 1
-    result = record(args.parent, args.change, args.pr, args.tier1_s)
+    result = record(args.parent, args.change, args.pr, args.tier1_s, args.claim)
     if not result["workloads"]:
         print("error: no (workload, seed) run in both checkouts", file=sys.stderr)
+        return 1
+    if args.claim is not None and result["claim"] is None:
+        print(f"error: no {args.claim[1]} run in both checkouts", file=sys.stderr)
         return 1
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
@@ -180,6 +233,14 @@ def main(argv=None):
                   f"bound {m['bound']:g}; "
                   f"{'inside' if m['inside_parent_iqr'] else 'outside'} parent "
                   f"q1-q3 [{parent['q1']:.6g}, {parent['q3']:.6g}]")
+    claim = result.get("claim")
+    if claim is not None:
+        ratio = claim["ratio"]
+        print(f"claim {claim['metric']}:{claim['workload']}: change/parent ratio "
+              f"{ratio['median']:.4g} [q1 {ratio['q1']:.4g}, q3 {ratio['q3']:.4g}], "
+              f"change better in {claim['change_better']}/{claim['pairs']}; "
+              f"{'beats' if claim['beats_bound'] else 'misses'} bound {claim['bound']:g}; "
+              f"{'beats' if claim['beats_parent_iqr'] else 'misses'} the parent q1-q3 width")
     print(f"wrote {out}")
     return 0
 

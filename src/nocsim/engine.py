@@ -5,30 +5,34 @@ against the buffer/credit state at the start of t; dequeues and link
 traversals are applied afterwards, so the order of the sends never
 matters. Identical configs yield byte-identical reports.
 
-A head is routed by its algorithm's one state transition,
-``routing.Algorithm.next_hops``, which ``check-deadlock``'s dependency
-graph walks too; ``Packet.route`` is that state's route, from the head's
-node on.
+A head is routed by its algorithm's one state transition, the flat
+closure ``routing.relation`` makes of it, which ``check-deadlock``'s
+dependency graph walks too; ``Packet.route`` is that state's route, from
+the head's node on.
 
 The cost of a cycle follows the number of occupied routers, not the size
 of the network:
 
-* Active set. ``Simulation.active`` holds exactly the routers with a
+* Active set. Each router lists its occupied input slots, those with a
   queued flit (in an input VC or the local queue) or an input VC still
-  bound to a packet, failed routers included. Packets waiting at a
-  source sit behind its local queue's head-of-line flits, so they never
-  hold a router in the set by themselves. A router joins on every push
-  (arrival, injection, radio re-injection) and leaves when a send or a
-  discard leaves it empty and unbound. A bound VC with an empty queue
-  keeps its router in the set because its packet may have been dropped
-  upstream: the visit that releases the binding changes what
-  ``flow_control_accept`` upstream sees. A fault change drops everything
-  a failed router holds, and the send phase skips the router, so its
-  leftovers stay until it heals; its first visit then discards them and
-  releases their bindings. The send phase visits the set in ascending
-  node id, the order of a full scan, because looking at a slot may drop
-  packets or discard flits (``fabric.InputSlot.head``, ``_decision_for``)
-  and those side effects are seen by the routers visited after it.
+  bound to a packet, in arbitration order (``fabric.RouterState.occupied``),
+  and ``Simulation.active`` holds exactly the routers whose list is not
+  empty, failed routers included. Packets waiting at a source sit behind
+  its local queue's head-of-line flits, so they never occupy a slot by
+  themselves. A slot fills only when a head binds its VC (an arrival) or
+  a packet enters its empty local queue (injection, radio re-injection),
+  and empties only when a send or a discard (``fabric.InputSlot.head``)
+  leaves it empty and unbound; the engine updates both lists at exactly
+  those points. A bound VC with an empty queue stays occupied because its
+  packet may have been dropped upstream: the visit that releases the
+  binding changes what ``flow_control_accept`` upstream sees. A fault
+  change drops everything a failed router holds, and the send phase skips
+  the router, so its leftovers stay until it heals; its first visit then
+  discards them and releases their bindings. The send phase visits the
+  set in ascending node id, the order of a full scan, because looking at
+  a slot may drop packets or discard flits (``fabric.InputSlot.head``,
+  ``_decision_for``) and those side effects are seen by the routers
+  visited after it.
 * Injection draw. Draw 0 of every node is computed for a block of cycles
   at once by ``workload.draw0_block`` (about 4096 node-cycles, at least
   one cycle), whose wrapping uint64 arithmetic is bit-identical to
@@ -46,19 +50,23 @@ of the network:
   decision carries that VC, and a send appends (upstream, node, input VC,
   flit) to ``pending``, so an arrival is pushed without a lookup. Only
   fabric pops a dropped packet's leftovers and releases a binding and its
-  decision. Neither a send nor an arrival tests alive-ness, and no decision
-  changes for it: every fault change builds a new view, and a decision,
-  which carries the view it was made or rechecked over, is used only
-  while that view is current, so its link is up and both ends are alive
-  (a failed node takes its links down); and a fault change,
-  applied before the arrivals of its cycle, drops every packet with a flit
-  on a link or into a node that fails, and every worm cut off from its
-  tail by a failed link. Only the slots of a failed router itself are
-  skipped, by a set lookup in the view's failed nodes. Flow
-  control is one rule for every switching policy
+  decision. A head's decision is one call to ``_decide``, which calls the
+  relation's closure, which calls the algorithm's options; the out port
+  comes from the topology's own port map. Neither a send nor an arrival
+  tests alive-ness, and no decision changes for it: every fault change
+  builds a new view, and a decision, which carries the view it was made
+  or rechecked over, is used only while that view is current, so its
+  link is up and both ends are alive (a failed node takes its links
+  down); and a fault change, applied before the arrivals of its cycle,
+  drops every packet with a flit on a link or into a node that fails, and
+  every worm cut off from its tail by a failed link. Only the slots of a
+  failed router itself are skipped, by a set lookup in the view's failed
+  nodes. Flow control is one rule for every switching policy
   (``fabric.flow_control_accept``), and so is readiness, for the local
   queue too (``fabric.flit_ready``). Arbitration is one pass over a
-  router's slots: each output port keeps the ready candidate of smallest
+  router's occupied slots. A lone ready candidate is sent and its port's
+  pointer set past its slot, with nothing to compare. Once a second one
+  shows up, each output port keeps the ready candidate of smallest
   round-robin rank ``(i - rr[port]) % n_slots``, then every winner is sent
   and its port's pointer set past its slot. Winners are sent in the order
   their ports first show up, not by port; that changes no report byte,
@@ -278,7 +286,7 @@ class Simulation:
             fabric.RouterState(self.topo.neighbors(u), self.vc_count, config.buffer_depth)
             for u in range(self.n)
         ]
-        self.active = set()  # routers holding a queued flit or a bound VC
+        self.active = set()  # routers with an occupied input slot
         # input VC at the downstream end of every (u, out_port, out_vc)
         self.down_vc = [
             [
@@ -476,7 +484,9 @@ class Simulation:
                 self._consume(node, flit, now)
                 continue
             down.push(flit, now)
-            self.active.add(node)
+            if flit.is_head:  # binds a VC that was empty and unbound
+                self.routers[node].occupy(down)
+                self.active.add(node)
         return True  # every arrival is consumed, buffered or discarded
 
     def _consume(self, node, flit, now):
@@ -570,8 +580,11 @@ class Simulation:
         taken ``hop_count`` hops so far, unless it has no route from there."""
         if not self._route_at_injection(packet, node):
             return
-        self.routers[node].local.push_packet(packet, now, hop_count)
-        self.active.add(node)
+        router = self.routers[node]
+        if not router.local.queue:
+            router.occupy(router.local)
+            self.active.add(node)
+        router.local.push_packet(packet, now, hop_count)
 
     def _wireless_cycle(self, now):
         ws = self.wireless
@@ -592,67 +605,83 @@ class Simulation:
         accept = fabric.flow_control_accept
         policy, pipeline, view = self.policy, self.pipeline, self.view
         failed = view.failed_nodes
-        measuring = self.measure_start <= now < self.measure_end
-        sends = []  # (router, holder, next_node, downstream VC, out_port)
-        held = {}   # visited router -> slots still holding a flit or a binding
-        for u in sorted(self.active):
+        routers, active = self.routers, self.active
+        sends = []  # (node, slot, decision), a decision laid out as in _decision_for
+        for u in sorted(active):
             if u in failed:
                 continue
-            router = self.routers[u]
-            slots, rr = router.slots, router.rr
-            n_slots = len(slots)
-            # per output port, the ready candidate it serves next: (round-
-            # robin rank, slot index, holder, next_node, downstream VC)
-            winners = {}
-            busy = 0
-            for i, holder, came_from, in_vc in slots:
+            router = routers[u]
+            occupied, rr = router.occupied, router.rr
+            # the first ready candidate, and once a second one shows up, per
+            # output port the one it serves next: (round-robin rank, slot,
+            # decision)
+            lone = winners = None
+            vacated = False
+            for slot in occupied:
+                i, holder, came_from, in_vc = slot
                 q = holder.queue
-                if not q and holder.bound is None:
-                    continue  # empty slot
                 # head() discards what dropped packets left behind
                 flit = q[0] if q and not q[0].packet.dropped else holder.head()
                 if flit is None:
-                    busy += holder.bound is not None  # a live worm still arriving
+                    # empty: a live worm still arriving, unless head() let go
+                    vacated |= holder.bound is None
                     continue
-                busy += 1
                 d = holder.decision
                 if d is None or d[0] is not view:
                     d = self._decision_for(u, came_from, in_vc, holder, flit)
                     if d is None:
                         continue
-                _, nxt, out_port, down = d
                 if not ready(policy, holder, flit, now, pipeline):
                     continue
                 # ejection consumes on arrival
-                if nxt != flit.packet.dst and not accept(down, flit):
+                if d[1] != flit.packet.dst and not accept(d[3], flit):
                     continue
+                if lone is None:
+                    lone = slot, d
+                    continue
+                if winners is None:  # a second candidate: arbitrate from here on
+                    n_slots = len(router.slots)
+                    first, first_d = lone
+                    port = first_d[2]
+                    winners = {port: ((first[0] - rr[port]) % n_slots, first, first_d)}
+                out_port = d[2]
                 rank = (i - rr[out_port]) % n_slots
                 w = winners.get(out_port)
                 if w is None or rank < w[0]:
-                    winners[out_port] = (rank, i, holder, nxt, down)
-            held[u] = busy
-            for out_port, (_, i, holder, nxt, down) in winners.items():
-                rr[out_port] = (i + 1) % n_slots
-                sends.append((u, holder, nxt, down, out_port))
-        port_busy = self.port_busy
-        for u, holder, nxt, down, out_port in sends:
+                    winners[out_port] = (rank, slot, d)
+            if vacated:
+                occupied[:] = [s for s in occupied if s[1].queue or s[1].bound is not None]
+                if not occupied:
+                    active.discard(u)
+            if winners is None:
+                if lone is not None:
+                    slot, d = lone
+                    rr[d[2]] = (slot[0] + 1) % len(router.slots)
+                    sends.append((u, slot, d))
+                continue
+            for out_port, (_, slot, d) in winners.items():
+                rr[out_port] = (slot[0] + 1) % n_slots
+                sends.append((u, slot, d))
+        port_busy, pending, hop_limit = self.port_busy, self.pending, self.livelock_bound
+        measuring = self.measure_start <= now < self.measure_end
+        for u, slot, (_, nxt, out_port, down) in sends:
+            holder = slot[1]
             flit = holder.pop()
             if not holder.queue and holder.bound is None:
-                held[u] -= 1
+                occupied = routers[u].occupied
+                occupied.remove(slot)
+                if not occupied:
+                    active.discard(u)
             flit.hop_count += 1
-            if flit.hop_count > self.livelock_bound:
+            if flit.hop_count > hop_limit:
                 self.livelock_violations += 1
                 if self.cfg.strict:
                     raise LivelockDetected(
-                        f"flit of packet {flit.packet.pid} exceeded "
-                        f"{self.livelock_bound} hops"
+                        f"flit of packet {flit.packet.pid} exceeded {hop_limit} hops"
                     )
-            self.pending.append((u, nxt, down, flit))
+            pending.append((u, nxt, down, flit))
             if measuring:
                 port_busy[u][out_port] += 1
-        for u, busy in held.items():
-            if not busy:
-                self.active.discard(u)
         return bool(sends)
 
     def _decision_for(self, u, came_from, in_vc, holder, flit):
@@ -680,7 +709,7 @@ class Simulation:
             self._drop_packet(packet)
             return None
         nxt, out_vc = decision
-        out_port = self.topo.port_to(u, nxt)
+        out_port = self.topo.port_of[u][nxt]
         holder.decision = (self.view, nxt, out_port, self.down_vc[u][out_port][out_vc])
         return holder.decision
 

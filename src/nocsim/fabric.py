@@ -28,6 +28,7 @@ its ``pop(0)`` stays cheap.
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
 
 from .errors import ProtocolViolation
@@ -144,13 +145,13 @@ def flow_control_accept(vc, flit):
     """Downstream acceptance rule for one incoming flit, the same under
     every switching policy (the module docstring says why): a head takes a
     VC bound to no packet, and a body or tail flit takes a free slot in its
-    own packet's VC. A body flit with no bound packet is a protocol
-    violation."""
+    own packet's VC (fewer flits queued than its depth). A body flit with
+    no bound packet is a protocol violation."""
     if flit.is_head:
         return vc.bound is None
     if vc.bound is None:
         raise ProtocolViolation("body flit with no bound packet")
-    return vc.bound is flit.packet and vc.free_slots > 0
+    return vc.bound is flit.packet and len(vc.queue) < vc.depth
 
 
 def flit_ready(policy, slot, flit, now, pipeline):
@@ -220,6 +221,10 @@ class RouterState:
     node, input VC): wired inputs by (port, VC), then the local queue,
     which has neither; a slot's index is its rank. ``rr[port]`` is the
     round-robin pointer of output port ``port``, a slot index.
+
+    ``occupied`` lists, in the same order, exactly the slots holding a flit
+    or a bound VC, the only ones the send phase walks; the engine keeps it
+    (the engine module docstring's *Active set* says when).
     """
 
     def __init__(self, neighbors, vc_count, depth):
@@ -232,7 +237,14 @@ class RouterState:
         slots = [(vc, neighbors[port], in_vc) for (port, in_vc), vc in self.inputs.items()]
         slots.append((self.local, None, None))
         self.slots = [(i, *slot) for i, slot in enumerate(slots)]
+        self.slot_of = {slot[1]: slot for slot in self.slots}  # holder -> slot
+        self.occupied = []
         self.rr = [0] * len(neighbors)
+
+    def occupy(self, holder):
+        """Put the slot of ``holder``, empty and unbound until now, into
+        ``occupied`` at its rank."""
+        bisect.insort(self.occupied, self.slot_of[holder])
 
     def congestion(self):
         """Total wired buffered flits; feeds DyXY's occupancy signal."""

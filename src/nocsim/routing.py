@@ -4,28 +4,27 @@
 greedy advance over virtual coordinates (alone or with a shortest-route
 fallback), the neighborhood method and hierarchical multi-center routing.
 The engine takes its decisions through an entry's one state transition,
-``Algorithm.next_hops``; ``build_cdg`` explores every state the same
-transition reaches, so ``check-deadlock`` judges the engine's own
-relation, and ``walk`` follows its first option from source to
-destination, the path a lone head takes on an idle network. XY, DyXY and
-greedy advance route hop by hop, XY on meshes and tori alike; only the
-neighborhood method and hierarchical routing (and greedy_fallback past a
-local minimum) carry a source route. Routes are loop-free node tuples
-(source..destination), valid over the alive view they were built on; a
-packet carries its route from the head's node on. Shortest routes and
-hierarchical up-routes are both ``topology.successor_route`` walks of
-tables from ``topology``'s one BFS and lowest-id successor rule. A
-``RoutingContext`` keeps its per-destination tables over the base
-topology (hop distances, torus XY next hops) across fault epochs and
-rebuilds only the shortest successors over each new alive view. The
-dependency graph is a plain adjacency map tested by Kahn's algorithm: no
-graph library.
+the flat closure ``relation`` makes of it over a ``RoutingContext``;
+``build_cdg`` explores every state the same closure reaches, so
+``check-deadlock`` judges the engine's own relation, and ``walk`` follows
+its first option from source to destination, the path a lone head takes
+on an idle network. XY, DyXY and greedy advance route hop by hop, XY on
+meshes and tori alike; only the neighborhood method and hierarchical
+routing (and greedy_fallback past a local minimum) carry a source route.
+Routes are loop-free node tuples (source..destination), valid over the
+alive view they were built on; a packet carries its route from the head's
+node on. Shortest routes and hierarchical up-routes are both
+``topology.successor_route`` walks of tables from ``topology``'s one BFS
+and lowest-id successor rule. A ``RoutingContext`` keeps its
+per-destination tables over the base topology (hop distances, torus XY
+next hops) across fault epochs and rebuilds only the shortest successors
+over each new alive view. The dependency graph is a plain adjacency map
+tested by Kahn's algorithm: no graph library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from . import topology as topo
 from .addressing import coordinate_distance
@@ -245,6 +244,7 @@ class RoutingContext:
             self.topology.grid_shape()
             if self.topology.kind in (topo.MESH, topo.TORUS) else None
         )
+        self.torus = self.topology.kind == topo.TORUS  # XY takes dateline VCs
         self.vc_count = vc_count
         self.coordinates = coordinates
         self.addresses = None
@@ -282,9 +282,9 @@ class Algorithm:
     routes hop by hop: ``options(ctx, node, dst, in_vc, came_from)`` lists
     the (next node, out VC, route or None) a head may take, in order; a
     route, starting at the next node, switches to source routing from
-    there on. ``next_hops`` is the one transition between states. Only
-    minimal routing (DyXY, minimal_adaptive) lists more than one option,
-    and a head takes the one ``pick`` chooses.
+    there on. ``relation`` makes the one transition between states from
+    these two. Only minimal routing (DyXY, minimal_adaptive) lists more
+    than one option, and a head takes the one ``pick`` chooses.
     """
 
     kinds: tuple = None         # topology kinds it runs on; None: any
@@ -299,21 +299,11 @@ class Algorithm:
         node is least congested, the first on ties."""
         return min(options, key=lambda option: congestion(option[0]))
 
-    def next_hops(self, ctx, node, dst, in_vc, came_from, route):
-        """The (next node, out VC, route from the next node on or None)
-        options of a head in this state; in_vc, came_from and route are
-        None at injection."""
-        if route is None and came_from is None and self.source_route is not None:
-            route = self.source_route(ctx, node, dst)
-        if route is not None:
-            return [(route[1], 0, route[1:])] if len(route) > 1 else []
-        return self.options(ctx, node, dst, in_vc, came_from)
-
 
 def _xy(ctx, node, dst, in_vc, came_from):
     # a torus picks dateline VCs; a mesh steps X until the column matches,
     # then Y, on VC 0
-    if ctx.topology.kind == topo.TORUS:
+    if ctx.torus:
         nxt, vc = torus_xy_next(ctx, node, dst, in_vc, came_from)
         return [(nxt, min(vc, ctx.vc_count - 1), None)]
     w, h = ctx.grid
@@ -373,9 +363,24 @@ def lookup(name, kind, table=ALGORITHMS):
 
 
 def relation(algorithm, ctx):
-    """``algorithm`` as a ``build_cdg`` relation: its state transition
-    ``next_hops`` over ``ctx``."""
-    return partial(algorithm.next_hops, ctx)
+    """``algorithm``'s one state transition over ``ctx``, the relation that
+    the engine routes every head by and that ``build_cdg`` and ``walk``
+    follow: ``next_hops(node, dst, in_vc, came_from, route)`` gives the
+    (next node, out VC, route from the next node on or None) options of a
+    head in that state; in_vc, came_from and route are None at injection.
+    A carried route gives its next node, or none at its end; a head that
+    carries none routes by the algorithm's options, after fixing its source
+    route at injection when the algorithm has one."""
+    options, source_route = algorithm.options, algorithm.source_route
+
+    def next_hops(node, dst, in_vc, came_from, route):
+        if route is None and came_from is None and source_route is not None:
+            route = source_route(ctx, node, dst)
+        if route is not None:
+            return [(route[1], 0, route[1:])] if len(route) > 1 else []
+        return options(ctx, node, dst, in_vc, came_from)
+
+    return next_hops
 
 
 def walk(next_hops, src, dst):

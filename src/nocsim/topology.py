@@ -63,7 +63,7 @@ class Topology:
         self.node_count = n
         self.kind = kind
         self.kind_params = dict(kind_params or {})
-        self._port_of = [
+        self.port_of = [  # port_of[u][v]: port index of the link u->v
             {v: p for p, v in enumerate(nbrs)} for nbrs in adjacency
         ]
 
@@ -77,10 +77,10 @@ class Topology:
 
     def port_to(self, u, v):
         """Port index of the directed link u->v."""
-        return self._port_of[u][v]
+        return self.port_of[u][v]
 
     def has_link(self, u, v):
-        return v in self._port_of[u]
+        return v in self.port_of[u]
 
     @property
     def links(self):
@@ -295,7 +295,7 @@ class TopologyView:
         return u not in self.failed_nodes
 
     def has_link(self, u, v):
-        return self.base.has_link(u, v) and (u, v) not in self.failed_links
+        return v in self.base.port_of[u] and (u, v) not in self.failed_links
 
     def alive_nodes(self):
         return [u for u in range(self.base.node_count) if u not in self.failed_nodes]

@@ -187,3 +187,76 @@ def test_bytecode_on_one_side_only_is_recorded_and_warned(checkouts, tmp_path, c
     (cache / "engine.cpython-311.pyc").write_bytes(b"")
     assert bench_record.main(argv) == 0
     assert "warning" not in capsys.readouterr().err
+
+
+def claim_checkouts(tmp_path, change_walls):
+    """Four pairs of workload ``w`` whose parent ``wall_s`` medians are
+    1.0-1.3 (median 1.15, q1-q3 1.025-1.275) and the change's are
+    ``change_walls``."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    write_checkout(parent, 10, [
+        ("w", seed, medians(wall, 30.0), 0)
+        for seed, wall in enumerate((1.0, 1.2, 1.1, 1.3), 1)
+    ])
+    write_checkout(change, 10, [
+        ("w", seed, medians(wall, 30.0), 0) for seed, wall in enumerate(change_walls, 1)
+    ])
+    return parent, change
+
+
+def test_a_claim_records_the_per_pair_ratios_and_whether_it_is_met(tmp_path, capsys):
+    """0.7-1.0 against 1.0-1.3: every pair won, ratios 0.70-0.77, and the
+    median gain 0.30 beats both the 0.25 bound (0.2875) and the parent's
+    q1-q3 width (0.25)."""
+    parent, change = claim_checkouts(tmp_path, (0.7, 0.9, 0.8, 1.0))
+    out = tmp_path / "BENCH_23.json"
+    assert bench_record.main([
+        "--parent", str(parent), "--change", str(change), "--pr", "23",
+        "--claim", "wall_s:w", "--out", str(out),
+    ]) == 0
+    claim = json.loads(out.read_text())["claim"]
+    assert claim["ratio"] == pytest.approx(
+        {"median": 0.738636, "q1": 0.706818, "q3": 0.764423}, abs=1e-6)
+    assert {k: v for k, v in claim.items() if k != "ratio"} == {
+        "metric": "wall_s", "workload": "w", "better": "lower", "bound": 0.25,
+        "pairs": 4, "change_better": 4, "beats_bound": True, "beats_parent_iqr": True,
+    }
+    assert ("claim wall_s:w: change/parent ratio 0.7386 [q1 0.7068, q3 0.7644], "
+            "change better in 4/4; beats bound 0.25; beats the parent q1-q3 width"
+            ) in capsys.readouterr().out
+    # no claim, no claim record
+    assert "claim" not in bench_record.record(str(parent), str(change), 23)
+
+
+def test_a_claim_that_falls_short_says_so(tmp_path, capsys):
+    """0.8-1.4 against 1.0-1.3: one pair lost, and the median gain 0.20
+    misses both the bound and the parent's q1-q3 width."""
+    parent, change = claim_checkouts(tmp_path, (0.8, 1.0, 0.9, 1.4))
+    rec = bench_record.record(str(parent), str(change), 23, claim=("wall_s", "w"))
+    claim = rec["claim"]
+    assert (claim["change_better"], claim["beats_bound"], claim["beats_parent_iqr"]) == (
+        3, False, False)
+    argv = ["--parent", str(parent), "--change", str(change), "--pr", "23",
+            "--out", str(tmp_path / "BENCH_23.json")]
+    assert bench_record.main(argv + ["--claim", "wall_s:w"]) == 0
+    assert "misses bound 0.25; misses the parent q1-q3 width" in capsys.readouterr().out
+    # a workload without pairs is an error, and nothing is written
+    (tmp_path / "BENCH_23.json").unlink()
+    assert bench_record.main(argv + ["--claim", "wall_s:torus8"]) == 1
+    assert "error: no torus8 run in both checkouts" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_23.json").exists()
+    for bad in ("wall_s", "cycles_per_s:w", "wall_s:"):
+        with pytest.raises(SystemExit):
+            bench_record.main(argv + ["--claim", bad])
+    # a higher-is-better metric is won by rising
+    runs = {
+        side: {("w", seed): {"failed": 0, "stats": {"rate": {"median": value * seed}}}
+               for seed in (1, 2, 3)}
+        for side, value in (("parent", 1.0), ("change", 1.5))
+    }
+    rate = bench_record.check_claim(runs["parent"], runs["change"], "w", "rate", "higher", 0.25)
+    assert rate["ratio"]["median"] == pytest.approx(1.5)
+    assert (rate["change_better"], rate["beats_bound"], rate["beats_parent_iqr"]) == (
+        3, True, False)

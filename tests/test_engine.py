@@ -786,8 +786,17 @@ ACTIVE_SET_CASES = {
 }
 
 
+def occupied_slots(router):
+    """Full walk: the router's slots with a queued flit or a bound VC, in
+    slot order."""
+    return [s for s in router.slots if s[1].queue or s[1].bound is not None]
+
+
 @pytest.mark.parametrize("case", sorted(ACTIVE_SET_CASES))
 def test_active_set_matches_a_full_walk_after_every_cycle(case):
+    """After every stepped cycle, ``active`` is exactly the routers, and
+    each router's ``occupied`` exactly the slots, a full walk finds holding
+    a flit or a bound VC."""
     sim = engine.Simulation(ACTIVE_SET_CASES[case]())
     send_phase = sim._send_phase
     seen = {"busy": 0, "bound_only": 0}
@@ -803,6 +812,8 @@ def test_active_set_matches_a_full_walk_after_every_cycle(case):
         # failed routers too: one holding dropped leftovers stays in the set
         occupied = occupied_routers(sim)
         assert sim.active == occupied, now
+        for u, router in enumerate(sim.routers):
+            assert router.occupied == occupied_slots(router), (now, u)
         seen["busy"] += bool(occupied)
         return progress
 
@@ -811,6 +822,47 @@ def test_active_set_matches_a_full_walk_after_every_cycle(case):
     assert report.delivered > 0 and report.residual == 0
     assert seen["busy"] > 100
     assert seen["bound_only"] > 0  # alive routers held only by a bound VC
+
+
+# node 0's slots: the inputs from nodes 1-4 (ranks 0-3), then its local
+# queue (rank 4); port 3 leads to node 4
+STAR = topo.Topology([(1, 2, 3, 4), (0,), (0,), (0,), (0,)])
+STAR_RANK = {1: 0, 2: 1, 3: 2, 4: 3, 0: 4}
+
+
+@pytest.mark.parametrize("sources", [(3,), (0,), (1, 3), (2, 0), (1, 2, 3), (1, 3, 0)])
+@pytest.mark.parametrize("rr0", range(5))
+def test_round_robin_serves_contenders_in_rank_order_past_the_pointer(sources, rr0):
+    """One-flit packets from ``sources`` to node 4 of a star are all ready
+    at its centre, node 0, in cycle 3 (a leaf's packet arrives at 2, one
+    queued at node 0 itself is injected at 2), and all want port 3. With
+    ``rr[3]`` at ``rr0``, node 0 sends one a cycle, in order of rank
+    ``(slot - rr0) % 5``, and each send, a lone candidate's included, sets
+    the pointer just past the sender's slot."""
+    sim = engine.Simulation(quiet_config(
+        STAR, algorithm="neighborhood",
+        traffic=workload.TrafficSpec(injection_rate=0.0, packet_length=1),
+        preloaded=tuple((2 if src == 0 else 0, src, 4) for src in sources),
+    ))
+    rr = sim.routers[0].rr
+    rr[3] = rr0
+    send_phase = sim._send_phase
+    served = []
+
+    def observed_send_phase(now):
+        progress = send_phase(now)
+        sent = [f.packet.src for u, _, _, f in sim.pending if u == 0]
+        if sent:
+            served.append((now, sent, rr[3]))
+        return progress
+
+    sim._send_phase = observed_send_phase
+    report = sim.run()
+    assert report.delivered == len(sources)
+    order = sorted(sources, key=lambda src: (STAR_RANK[src] - rr0) % 5)
+    assert served == [
+        (3 + k, [src], (STAR_RANK[src] + 1) % 5) for k, src in enumerate(order)
+    ]
 
 
 HUB_SOURCE_PRELOADS = tuple(

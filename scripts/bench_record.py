@@ -40,6 +40,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HOST_KEYS = ("nproc", "cpu_model", "python", "numpy")
 
 
+class UnknownMetric(ValueError):
+    """A claimed metric that is no end-to-end metric of ``BENCHMARK.json``."""
+
+
 def load_runs(checkout):
     """{(workload, seed): results file} of a checkout's untraced runs."""
     runs = {}
@@ -114,32 +118,36 @@ def compare(parent_runs, change_runs, metrics):
             row["metrics"][name] = {
                 "parent": p, "change": c,
                 "pairs": len(keys), "change_better": wins,
-                "bound": bound, "worse_than_bound": worse,
+                "better": better, "bound": bound, "worse_than_bound": worse,
                 "inside_parent_iqr": p["q1"] <= c["median"] <= p["q3"],
             }
     return table
 
 
-def check_claim(parent_runs, change_runs, workload, metric, better, bound):
-    """A claimed gain in ``metric`` on ``workload`` over the paired runs:
-    the per-pair ratios change/parent, the pairs the change won, and whether
-    its median beats the parent's by more than ``bound`` (a fraction of the
-    parent median) and by more than the width of the parent's q1-q3; None
-    when no pair of that workload was run."""
-    keys = sorted(k for k in parent_runs.keys() & change_runs.keys() if k[0] == workload)
-    if not keys:
+def check_claim(table, parent_runs, change_runs, workload, metric):
+    """A claimed gain in ``metric`` on ``workload``, read from its row of
+    ``compare``'s ``table`` (pairs, pairs won, both spreads, bound) plus the
+    median and quartiles of the per-pair ratios change/parent, and whether
+    the change median beats the parent's by more than the metric's bound
+    (a fraction of the parent median) and by more than the width of the
+    parent's q1-q3; None when no pair of that workload was run."""
+    row = table.get(workload)
+    if row is None:
         return None
-    parent = [parent_runs[k]["stats"][metric]["median"] for k in keys]
-    change = [change_runs[k]["stats"][metric]["median"] for k in keys]
-    sign = 1 if better == "lower" else -1  # > 0: the change did better
-    p = spread(parent)
-    gain = sign * (p["median"] - spread(change)["median"])
+    m = row["metrics"][metric]
+    p = m["parent"]
+    sign = 1 if m["better"] == "lower" else -1  # > 0: the change did better
+    gain = sign * (p["median"] - m["change"]["median"])
+    ratios = [
+        change_runs[key]["stats"][metric]["median"]
+        / parent_runs[key]["stats"][metric]["median"]
+        for key in ((workload, seed) for seed in row["seeds"])
+    ]
     return {
-        "metric": metric, "workload": workload, "better": better, "bound": bound,
-        "pairs": len(keys),
-        "ratio": spread([c / pv for pv, c in zip(parent, change)]),
-        "change_better": sum(sign * (pv - c) > 0 for pv, c in zip(parent, change)),
-        "beats_bound": gain > bound * p["median"],
+        "metric": metric, "workload": workload, "better": m["better"],
+        "bound": m["bound"], "pairs": m["pairs"], "change_better": m["change_better"],
+        "ratio": spread(ratios),
+        "beats_bound": gain > m["bound"] * p["median"],
         "beats_parent_iqr": gain > p["q3"] - p["q1"],
     }
 
@@ -147,17 +155,24 @@ def check_claim(parent_runs, change_runs, workload, metric, better, bound):
 def record(parent, change, pr, tier1_s=None, claim=None):
     """The ``BENCH_<pr>.json`` object for two checkouts' results;
     ``tier1_s`` is (parent, change) tier-1 wall seconds, or None; ``claim``
-    is a claimed (metric, workload), or None."""
+    is a claimed (metric, workload), or None; a claimed metric that the
+    change checkout's ``BENCHMARK.json`` does not list raises
+    ``UnknownMetric``."""
     with open(os.path.join(change, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = [
             (m["name"], m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]
         ]
+    names = [name for name, _, _ in metrics]
+    if claim is not None and claim[0] not in names:
+        raise UnknownMetric(
+            f"claimed metric {claim[0]!r} is not one of {', '.join(names)}")
     parent_runs, change_runs = load_runs(parent), load_runs(change)
     paired = parent_runs.keys() & change_runs.keys()
     parent_lines, change_lines = src_lines(parent), src_lines(change)
+    table = compare(parent_runs, change_runs, metrics)
     result = {
         "pr": pr,
-        "workloads": compare(parent_runs, change_runs, metrics),
+        "workloads": table,
         "unpaired": sorted(
             [side, *key]
             for side, runs in (("parent", parent_runs), ("change", change_runs))
@@ -173,21 +188,16 @@ def record(parent, change, pr, tier1_s=None, claim=None):
     }
     if claim is not None:
         metric, workload = claim
-        _, better, bound = next(m for m in metrics if m[0] == metric)
-        result["claim"] = check_claim(
-            parent_runs, change_runs, workload, metric, better, bound)
+        result["claim"] = check_claim(table, parent_runs, change_runs, workload, metric)
     return result
 
 
 def parse_claim(text):
-    """``METRIC:WORKLOAD`` as (metric, workload), the metric an end-to-end
-    one of ``BENCHMARK.json``."""
+    """``METRIC:WORKLOAD`` as (metric, workload); ``record`` checks the
+    metric."""
     metric, sep, workload = text.partition(":")
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        names = [m["name"] for m in json.load(fh)["end_to_end"]]
-    if not sep or not workload or metric not in names:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not METRIC:WORKLOAD with METRIC one of {', '.join(names)}")
+    if not metric or not sep or not workload:
+        raise argparse.ArgumentTypeError(f"{text!r} is not METRIC:WORKLOAD")
     return metric, workload
 
 
@@ -208,7 +218,10 @@ def main(argv=None):
     if out.startswith(bench_dir):
         print(f"error: {out} lies under bench/", file=sys.stderr)
         return 1
-    result = record(args.parent, args.change, args.pr, args.tier1_s, args.claim)
+    try:
+        result = record(args.parent, args.change, args.pr, args.tier1_s, args.claim)
+    except UnknownMetric as err:
+        parser.error(str(err))
     if not result["workloads"]:
         print("error: no (workload, seed) run in both checkouts", file=sys.stderr)
         return 1

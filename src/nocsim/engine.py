@@ -46,13 +46,14 @@ of the network:
   each buffer is a short list. Each router lists its input slots in
   arbitration order with their upstream node and input VC
   (``fabric.RouterState.slots``), and the engine tabulates every (node,
-  out_port, out_vc) with the input VC at its far end. A cached routing
-  decision carries that VC, and a send appends (upstream, node, input VC,
-  flit) to ``pending``, so an arrival is pushed without a lookup. Only
-  fabric pops a dropped packet's leftovers and releases a binding and its
-  decision. A head's decision is one call to ``_decide``, which calls the
-  relation's closure, which calls the algorithm's options; the out port
-  comes from the topology's own port map. Neither a send nor an arrival
+  out_port, out_vc) with the input slot at its far end. A cached routing
+  decision carries that slot, and a send appends (upstream, node, input
+  slot, flit) to ``pending``, so an arrival is pushed, and its slot
+  occupied, without a lookup. Only fabric pops a dropped packet's
+  leftovers and releases a binding and its decision. A head's decision
+  is one call to ``_decide``, which calls the relation's closure, which
+  calls the algorithm's options; the out port comes from the topology's
+  own port map. Neither a send nor an arrival
   tests alive-ness, and no decision changes for it: every fault change
   builds a new view, and a decision, which carries the view it was made
   or rechecked over, is used only while that view is current, so its
@@ -64,12 +65,13 @@ of the network:
   nodes. Flow control is one rule for every switching policy
   (``fabric.flow_control_accept``), and so is readiness, for the local
   queue too (``fabric.flit_ready``). Arbitration is one pass over a
-  router's occupied slots. A lone ready candidate is sent and its port's
-  pointer set past its slot, with nothing to compare. Once a second one
-  shows up, each output port keeps the ready candidate of smallest
-  round-robin rank ``(i - rr[port]) % n_slots``, then every winner is sent
-  and its port's pointer set past its slot. Winners are sent in the order
-  their ports first show up, not by port; that changes no report byte,
+  router's occupied slots: each output port keeps the ready candidate of
+  smallest round-robin rank ``(i - rr[port]) % n_slots``, then every
+  winner is sent and its port's pointer set past its slot. The per-port
+  map is built only once a second ready candidate shows up: a lone one
+  wins its port with nothing to compare, and most visits to a lightly
+  loaded router find exactly one. Winners are sent in the order their
+  ports first show up, not by port; that changes no report byte,
   since each winner goes to a different neighbour and arrivals at
   different nodes commute (only which packet a strict livelock abort names
   could differ, were two flits of one router to pass the bound in the same
@@ -287,12 +289,14 @@ class Simulation:
             for u in range(self.n)
         ]
         self.active = set()  # routers with an occupied input slot
-        # input VC at the downstream end of every (u, out_port, out_vc)
-        self.down_vc = [
+        # input slot at the downstream end of every (u, out_port, out_vc):
+        # a router's slots list its wired inputs by (port, VC) first
+        k = self.vc_count
+        self.down_slot = [
             [
-                [self.routers[v].inputs[(self.topo.port_to(v, u), vc)]
-                 for vc in range(self.vc_count)]
+                self.routers[v].slots[p * k:(p + 1) * k]
                 for v in self.topo.neighbors(u)
+                for p in (self.topo.port_of[v][u],)
             ]
             for u in range(self.n)
         ]
@@ -448,7 +452,7 @@ class Simulation:
         cut = [p for u in self.view.failed_nodes for p, _ in self.routers[u].holdings()]
         cut += [f.packet for up, node, _, f in self.pending if (up, node) in links]
         for up, node in links:
-            for vc in self.down_vc[up][self.topo.port_to(up, node)]:
+            for _, vc, _, _ in self.down_slot[up][self.topo.port_of[up][node]]:
                 q = vc.queue
                 if vc.bound is not None and not (q and q[-1].is_tail):
                     cut.append(vc.bound)
@@ -483,7 +487,7 @@ class Simulation:
             if node == packet.dst:
                 self._consume(node, flit, now)
                 continue
-            down.push(flit, now)
+            down[1].push(flit, now)
             if flit.is_head:  # binds a VC that was empty and unbound
                 self.routers[node].occupy(down)
                 self.active.add(node)
@@ -582,7 +586,7 @@ class Simulation:
             return
         router = self.routers[node]
         if not router.local.queue:
-            router.occupy(router.local)
+            router.occupy(router.slots[-1])
             self.active.add(node)
         router.local.push_packet(packet, now, hop_count)
 
@@ -612,10 +616,11 @@ class Simulation:
                 continue
             router = routers[u]
             occupied, rr = router.occupied, router.rr
+            n_slots = len(router.slots)
             # the first ready candidate, and once a second one shows up, per
             # output port the one it serves next: (round-robin rank, slot,
             # decision)
-            lone = winners = None
+            first = winners = None
             vacated = False
             for slot in occupied:
                 i, holder, came_from, in_vc = slot
@@ -634,16 +639,14 @@ class Simulation:
                 if not ready(policy, holder, flit, now, pipeline):
                     continue
                 # ejection consumes on arrival
-                if d[1] != flit.packet.dst and not accept(d[3], flit):
+                if d[1] != flit.packet.dst and not accept(d[3][1], flit):
                     continue
-                if lone is None:
-                    lone = slot, d
+                if first is None:  # ranked only once a second shows up
+                    first = (None, slot, d)
                     continue
-                if winners is None:  # a second candidate: arbitrate from here on
-                    n_slots = len(router.slots)
-                    first, first_d = lone
-                    port = first_d[2]
-                    winners = {port: ((first[0] - rr[port]) % n_slots, first, first_d)}
+                if winners is None:
+                    _, s0, d0 = first
+                    winners = {d0[2]: ((s0[0] - rr[d0[2]]) % n_slots, s0, d0)}
                 out_port = d[2]
                 rank = (i - rr[out_port]) % n_slots
                 w = winners.get(out_port)
@@ -653,14 +656,14 @@ class Simulation:
                 occupied[:] = [s for s in occupied if s[1].queue or s[1].bound is not None]
                 if not occupied:
                     active.discard(u)
-            if winners is None:
-                if lone is not None:
-                    slot, d = lone
-                    rr[d[2]] = (slot[0] + 1) % len(router.slots)
-                    sends.append((u, slot, d))
+            if winners is not None:
+                picked = winners.values()
+            elif first is not None:
+                picked = (first,)
+            else:
                 continue
-            for out_port, (_, slot, d) in winners.items():
-                rr[out_port] = (slot[0] + 1) % n_slots
+            for _, slot, d in picked:
+                rr[d[2]] = (slot[0] + 1) % n_slots
                 sends.append((u, slot, d))
         port_busy, pending, hop_limit = self.port_busy, self.pending, self.livelock_bound
         measuring = self.measure_start <= now < self.measure_end
@@ -710,7 +713,7 @@ class Simulation:
             return None
         nxt, out_vc = decision
         out_port = self.topo.port_of[u][nxt]
-        holder.decision = (self.view, nxt, out_port, self.down_vc[u][out_port][out_vc])
+        holder.decision = (self.view, nxt, out_port, self.down_slot[u][out_port][out_vc])
         return holder.decision
 
     # -- accounting ----------------------------------------------------

@@ -83,7 +83,7 @@ class InputSlot:
     """What an input slot of a router shares, a wired input VC or the local
     queue: ``queue``, the flits of at most one packet, oldest first, and
     ``decision``, the routing choice cached for that packet as (view, next
-    node, out port, downstream input VC), made for its head so the body
+    node, out port, downstream input slot), made for its head so the body
     flits follow the same output; cleared when the packet's tail leaves or
     its leftovers are purged (``head``)."""
 
@@ -120,10 +120,6 @@ class InputVC(InputSlot):
         self.queue = []
         self.bound = None         # packet currently owning this VC
         self.decision = None
-
-    @property
-    def free_slots(self):
-        return self.depth - len(self.queue)
 
     def push(self, flit, cycle):
         if flit.is_head:
@@ -237,14 +233,13 @@ class RouterState:
         slots = [(vc, neighbors[port], in_vc) for (port, in_vc), vc in self.inputs.items()]
         slots.append((self.local, None, None))
         self.slots = [(i, *slot) for i, slot in enumerate(slots)]
-        self.slot_of = {slot[1]: slot for slot in self.slots}  # holder -> slot
         self.occupied = []
         self.rr = [0] * len(neighbors)
 
-    def occupy(self, holder):
-        """Put the slot of ``holder``, empty and unbound until now, into
-        ``occupied`` at its rank."""
-        bisect.insort(self.occupied, self.slot_of[holder])
+    def occupy(self, slot):
+        """Put ``slot``, one of ``slots`` and empty and unbound until now,
+        into ``occupied`` at its rank."""
+        bisect.insort(self.occupied, slot)
 
     def congestion(self):
         """Total wired buffered flits; feeds DyXY's occupancy signal."""

@@ -244,7 +244,6 @@ class RoutingContext:
             self.topology.grid_shape()
             if self.topology.kind in (topo.MESH, topo.TORUS) else None
         )
-        self.torus = self.topology.kind == topo.TORUS  # XY takes dateline VCs
         self.vc_count = vc_count
         self.coordinates = coordinates
         self.addresses = None
@@ -303,7 +302,7 @@ class Algorithm:
 def _xy(ctx, node, dst, in_vc, came_from):
     # a torus picks dateline VCs; a mesh steps X until the column matches,
     # then Y, on VC 0
-    if ctx.torus:
+    if ctx.topology.kind == topo.TORUS:
         nxt, vc = torus_xy_next(ctx, node, dst, in_vc, came_from)
         return [(nxt, min(vc, ctx.vc_count - 1), None)]
     w, h = ctx.grid

@@ -75,10 +75,6 @@ class Topology:
     def degree(self, u):
         return len(self.adjacency[u])
 
-    def port_to(self, u, v):
-        """Port index of the directed link u->v."""
-        return self.port_of[u][v]
-
     def has_link(self, u, v):
         return v in self.port_of[u]
 

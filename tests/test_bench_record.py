@@ -256,7 +256,8 @@ def test_a_claim_that_falls_short_says_so(tmp_path, capsys):
                for seed in (1, 2, 3)}
         for side, value in (("parent", 1.0), ("change", 1.5))
     }
-    rate = bench_record.check_claim(runs["parent"], runs["change"], "w", "rate", "higher", 0.25)
+    table = bench_record.compare(runs["parent"], runs["change"], [("rate", "higher", 0.25)])
+    rate = bench_record.check_claim(table, runs["parent"], runs["change"], "w", "rate")
     assert rate["ratio"]["median"] == pytest.approx(1.5)
     assert (rate["change_better"], rate["beats_bound"], rate["beats_parent_iqr"]) == (
         3, True, False)

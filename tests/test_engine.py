@@ -1091,7 +1091,7 @@ def test_a_cut_link_drops_a_worm_whose_vc_is_momentarily_empty(cycle):
     seen = []
 
     def recorded_apply_faults(now):
-        vc = sim.down_vc[0][sim.topo.port_to(0, 1)][0]
+        vc = sim.down_slot[0][sim.topo.port_of[0][1]][0][1]
         bound_empty = vc.bound is not None and not vc.queue
         progress = apply_faults(now)
         # applied again, the change cuts only a dropped packet: no progress

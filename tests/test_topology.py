@@ -45,7 +45,7 @@ def test_port_indexing_matches_neighbor_order():
     t = topo.mesh(3, 3)
     for u in range(t.node_count):
         for p, v in enumerate(t.neighbors(u)):
-            assert t.port_to(u, v) == p
+            assert t.port_of[u][v] == p
             assert t.has_link(u, v)
 
 

@@ -17,7 +17,9 @@ host (nproc, CPU, Python, numpy), whether each side's
 ``src/nocsim/__pycache__`` holds bytecode (a warning when the sides
 differ: a checkout without it compiles every module in every job), the
 tier-1 test wall seconds measured on each checkout (``--tier1-s``; null
-when not given) and the net line count of ``src/``. With ``--claim``, it
+when not given), the net line count of ``src/`` and its net count of
+code lines, those holding a token other than a comment, a docstring or a
+line break. With ``--claim``, it
 also checks a claimed gain on one (metric, workload): the median and
 quartiles of the per-pair ratios change/parent, the number of pairs the
 change won, whether the change median beats the parent's by more than
@@ -35,6 +37,7 @@ import json
 import os
 import statistics
 import sys
+import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HOST_KEYS = ("nproc", "cpu_model", "python", "numpy")
@@ -64,13 +67,48 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def src_files(checkout):
+    """Every ``.py`` file under the checkout's ``src/``."""
+    return glob.glob(os.path.join(checkout, "src", "**", "*.py"), recursive=True)
+
+
 def src_lines(checkout):
     """Lines of every ``.py`` file under the checkout's ``src/``."""
     total = 0
-    for path in glob.glob(os.path.join(checkout, "src", "**", "*.py"), recursive=True):
+    for path in src_files(checkout):
         with open(path, encoding="utf-8") as fh:
             total += sum(1 for _ in fh)
     return total
+
+
+# tokens that hold no code of their own; a string alone between two of
+# these (a NEWLINE after it) is a docstring or a bare string statement
+LAYOUT = {tokenize.ENCODING, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+          tokenize.ENDMARKER}
+
+
+def code_lines(path):
+    """Lines of one Python file holding a token other than a comment, a
+    docstring or a line break."""
+    with open(path, "rb") as fh:
+        tokens = [t for t in tokenize.tokenize(fh.readline)
+                  if t.type not in (tokenize.COMMENT, tokenize.NL)]
+    lines = set()
+    for i, tok in enumerate(tokens):
+        if tok.type in LAYOUT or (
+            tok.type == tokenize.STRING
+            and tokens[i - 1].type in LAYOUT
+            and tokens[i + 1].type in (tokenize.NEWLINE, tokenize.ENDMARKER)
+        ):
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
+def src_code_lines(checkout):
+    """``code_lines`` summed over the checkout's ``src/``: a cut of code
+    shows here, a trim of docstrings or comments does not."""
+    return sum(code_lines(path) for path in src_files(checkout))
 
 
 def has_bytecode(checkout):
@@ -169,6 +207,7 @@ def record(parent, change, pr, tier1_s=None, claim=None):
     parent_runs, change_runs = load_runs(parent), load_runs(change)
     paired = parent_runs.keys() & change_runs.keys()
     parent_lines, change_lines = src_lines(parent), src_lines(change)
+    parent_code, change_code = src_code_lines(parent), src_code_lines(change)
     table = compare(parent_runs, change_runs, metrics)
     result = {
         "pr": pr,
@@ -184,6 +223,10 @@ def record(parent, change, pr, tier1_s=None, claim=None):
         "src_lines": {
             "parent": parent_lines, "change": change_lines,
             "net": change_lines - parent_lines,
+        },
+        "src_code_lines": {
+            "parent": parent_code, "change": change_code,
+            "net": change_code - parent_code,
         },
     }
     if claim is not None:

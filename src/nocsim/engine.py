@@ -13,10 +13,11 @@ the head's node on.
 The cost of a cycle follows the number of occupied routers, not the size
 of the network:
 
-* Active set. Each router lists its occupied input slots, those with a
-  queued flit (in an input VC or the local queue) or an input VC still
-  bound to a packet, in arbitration order (``fabric.RouterState.occupied``),
-  and ``Simulation.active`` holds exactly the routers whose list is not
+* Active set. Each router lists its occupied input slots
+  (``fabric.InputSlot`` objects), those with a queued flit (in an input VC
+  or the local queue) or an input VC still bound to a packet, in
+  arbitration order (``fabric.RouterState.occupied``), and
+  ``Simulation.active`` holds exactly the routers whose list is not
   empty, failed routers included. Packets waiting at a source sit behind
   its local queue's head-of-line flits, so they never occupy a slot by
   themselves. A slot fills only when a head binds its VC (an arrival) or
@@ -43,12 +44,11 @@ of the network:
 * Per-flit work. A packet's flits are made only when it reaches the head
   of its source's local queue (``fabric.LocalQueue``), so the flits that
   exist are those in flight plus one packet per backlogged source, and
-  each buffer is a short list. Each router lists its input slots in
-  arbitration order with their upstream node and input VC
-  (``fabric.RouterState.slots``), and the engine tabulates every (node,
-  out_port, out_vc) with the input slot at its far end. A cached routing
-  decision carries that slot, and a send appends (upstream, node, input
-  slot, flit) to ``pending``, so an arrival is pushed, and its slot
+  each buffer is a short list. An input slot knows its node, rank,
+  upstream node and input VC (``fabric.InputSlot``), and the engine
+  tabulates every (node, out_port, out_vc) with the input slot at its far
+  end. A cached routing decision carries that slot, and a send appends
+  (that slot, flit) to ``pending``, so an arrival is pushed, and its slot
   occupied, without a lookup. Only fabric pops a dropped packet's
   leftovers and releases a binding and its decision. A head's decision
   is one call to ``_decide``, which calls the relation's closure, which
@@ -285,7 +285,7 @@ class Simulation:
         self.deadlock_window = max(10 * self.diameter, 100)
 
         self.routers = [
-            fabric.RouterState(self.topo.neighbors(u), self.vc_count, config.buffer_depth)
+            fabric.RouterState(u, self.topo.neighbors(u), self.vc_count, config.buffer_depth)
             for u in range(self.n)
         ]
         self.active = set()  # routers with an occupied input slot
@@ -330,7 +330,7 @@ class Simulation:
         self.livelock_violations = 0
         # per router and output port, busy cycles during measurement
         self.port_busy = [[0] * self.topo.degree(u) for u in range(self.n)]
-        self.pending = []    # (upstream, node, input VC, flit) arriving next cycle
+        self.pending = []    # (input slot, flit) arriving next cycle
         # packet -> flits consumed at its wired target before its tail
         self.eject_progress = {}
         self.last_progress = 0
@@ -366,18 +366,6 @@ class Simulation:
             options[0] if len(options) == 1 else self.algo.pick(options, self.congestion)
         )
         return (nxt, vc) if self.view.has_link(node, nxt) else None
-
-    def _route_at_injection(self, packet, src):
-        """Fix the route of a packet entering the wires at src when its
-        algorithm routes at the source, so a later fault drops the packet
-        rather than rerouting it; False, with the packet dropped, when its
-        dst is unreachable over the alive view."""
-        fix = self.algo.source_route
-        packet.route = fix and fix(self.ctx, src, packet.dst)
-        if packet.route == ():
-            self._drop_packet(packet)
-            return False
-        return True
 
     # ------------------------------------------------------------------
     # run loop
@@ -450,9 +438,9 @@ class Simulation:
         self.ctx.set_view(self.view)
         links = self.view.failed_links
         cut = [p for u in self.view.failed_nodes for p, _ in self.routers[u].holdings()]
-        cut += [f.packet for up, node, _, f in self.pending if (up, node) in links]
+        cut += [f.packet for slot, f in self.pending if (slot.came_from, slot.node) in links]
         for up, node in links:
-            for _, vc, _, _ in self.down_slot[up][self.topo.port_of[up][node]]:
+            for vc in self.down_slot[up][self.topo.port_of[up][node]]:
                 q = vc.queue
                 if vc.bound is not None and not (q and q[-1].is_tail):
                     cut.append(vc.bound)
@@ -480,16 +468,17 @@ class Simulation:
         pending, self.pending = self.pending, []
         # a live packet's flit always lands on an alive node: _apply_faults
         # drops every packet with a flit on a link or into a node that fails
-        for _, node, down, flit in pending:
+        for slot, flit in pending:
             packet = flit.packet
             if packet.dropped:
                 continue
+            node = slot.node
             if node == packet.dst:
                 self._consume(node, flit, now)
                 continue
-            down[1].push(flit, now)
+            slot.push(flit, now)
             if flit.is_head:  # binds a VC that was empty and unbound
-                self.routers[node].occupy(down)
+                self.routers[node].occupy(slot)
                 self.active.add(node)
         return True  # every arrival is consumed, buffered or discarded
 
@@ -582,13 +571,19 @@ class Simulation:
     def _put_on_wires(self, packet, node, now, hop_count):
         """Queue ``packet`` at ``node``'s local queue, its flits having
         taken ``hop_count`` hops so far, unless it has no route from there."""
-        if not self._route_at_injection(packet, node):
+        # an algorithm that routes at the source fixes the route here, so a
+        # later fault drops the packet rather than rerouting it
+        fix = self.algo.source_route
+        packet.route = fix and fix(self.ctx, node, packet.dst)
+        if packet.route == ():  # dst unreachable over the alive view
+            self._drop_packet(packet)
             return
         router = self.routers[node]
-        if not router.local.queue:
-            router.occupy(router.slots[-1])
+        local = router.local
+        if not local.queue:
+            router.occupy(local)
             self.active.add(node)
-        router.local.push_packet(packet, now, hop_count)
+        local.push_packet(packet, now, hop_count)
 
     def _wireless_cycle(self, now):
         ws = self.wireless
@@ -610,7 +605,7 @@ class Simulation:
         policy, pipeline, view = self.policy, self.pipeline, self.view
         failed = view.failed_nodes
         routers, active = self.routers, self.active
-        sends = []  # (node, slot, decision), a decision laid out as in _decision_for
+        sends = []  # (slot, decision), a decision laid out as in fabric.InputSlot
         for u in sorted(active):
             if u in failed:
                 continue
@@ -623,37 +618,37 @@ class Simulation:
             first = winners = None
             vacated = False
             for slot in occupied:
-                i, holder, came_from, in_vc = slot
-                q = holder.queue
+                q = slot.queue
                 # head() discards what dropped packets left behind
-                flit = q[0] if q and not q[0].packet.dropped else holder.head()
+                flit = q[0] if q and not q[0].packet.dropped else slot.head()
                 if flit is None:
                     # empty: a live worm still arriving, unless head() let go
-                    vacated |= holder.bound is None
+                    vacated |= slot.bound is None
                     continue
-                d = holder.decision
+                d = slot.decision
                 if d is None or d[0] is not view:
-                    d = self._decision_for(u, came_from, in_vc, holder, flit)
+                    d = self._decision_for(slot, flit)
                     if d is None:
                         continue
-                if not ready(policy, holder, flit, now, pipeline):
+                if not ready(policy, slot, flit, now, pipeline):
                     continue
+                down = d[2]
                 # ejection consumes on arrival
-                if d[1] != flit.packet.dst and not accept(d[3][1], flit):
+                if down.node != flit.packet.dst and not accept(down, flit):
                     continue
                 if first is None:  # ranked only once a second shows up
                     first = (None, slot, d)
                     continue
                 if winners is None:
                     _, s0, d0 = first
-                    winners = {d0[2]: ((s0[0] - rr[d0[2]]) % n_slots, s0, d0)}
-                out_port = d[2]
-                rank = (i - rr[out_port]) % n_slots
+                    winners = {d0[1]: ((s0.index - rr[d0[1]]) % n_slots, s0, d0)}
+                out_port = d[1]
+                rank = (slot.index - rr[out_port]) % n_slots
                 w = winners.get(out_port)
                 if w is None or rank < w[0]:
                     winners[out_port] = (rank, slot, d)
             if vacated:
-                occupied[:] = [s for s in occupied if s[1].queue or s[1].bound is not None]
+                occupied[:] = [s for s in occupied if s.queue or s.bound is not None]
                 if not occupied:
                     active.discard(u)
             if winners is not None:
@@ -663,14 +658,14 @@ class Simulation:
             else:
                 continue
             for _, slot, d in picked:
-                rr[d[2]] = (slot[0] + 1) % n_slots
-                sends.append((u, slot, d))
+                rr[d[1]] = (slot.index + 1) % n_slots
+                sends.append((slot, d))
         port_busy, pending, hop_limit = self.port_busy, self.pending, self.livelock_bound
         measuring = self.measure_start <= now < self.measure_end
-        for u, slot, (_, nxt, out_port, down) in sends:
-            holder = slot[1]
-            flit = holder.pop()
-            if not holder.queue and holder.bound is None:
+        for slot, (_, out_port, down) in sends:
+            u = slot.node
+            flit = slot.pop()
+            if not slot.queue and slot.bound is None:
                 occupied = routers[u].occupied
                 occupied.remove(slot)
                 if not occupied:
@@ -682,12 +677,12 @@ class Simulation:
                     raise LivelockDetected(
                         f"flit of packet {flit.packet.pid} exceeded {hop_limit} hops"
                     )
-            pending.append((u, nxt, down, flit))
+            pending.append((down, flit))
             if measuring:
                 port_busy[u][out_port] += 1
         return bool(sends)
 
-    def _decision_for(self, u, came_from, in_vc, holder, flit):
+    def _decision_for(self, slot, flit):
         """Routing decision for the head-of-line flit when the slot's cached
         one is missing or over an older view (``fabric.InputSlot`` gives its
         layout); None when the flit cannot move now. A slot holds one
@@ -698,23 +693,23 @@ class Simulation:
         while the view it was made or rechecked over is current, so its
         link is up and both ends are alive for as long as it is used: the
         send needs no alive-ness test of its own."""
-        packet = flit.packet
-        cached = holder.decision
+        packet, u = flit.packet, slot.node
+        cached = slot.decision
         if cached is not None:
-            if self.view.has_link(u, cached[1]):
-                holder.decision = (self.view, *cached[1:])
-                return holder.decision
+            if self.view.has_link(u, cached[2].node):
+                slot.decision = (self.view, *cached[1:])
+                return slot.decision
             # the committed next link died under the packet: drop it
             self._drop_packet(packet)
             return None
-        decision = self._decide(u, packet, in_vc, came_from)
+        decision = self._decide(u, packet, slot.in_vc, slot.came_from)
         if decision is None:
             self._drop_packet(packet)
             return None
         nxt, out_vc = decision
         out_port = self.topo.port_of[u][nxt]
-        holder.decision = (self.view, nxt, out_port, self.down_slot[u][out_port][out_vc])
-        return holder.decision
+        slot.decision = (self.view, out_port, self.down_slot[u][out_port][out_vc])
+        return slot.decision
 
     # -- accounting ----------------------------------------------------
 
@@ -736,7 +731,7 @@ class Simulation:
         live = sum(
             n for r in self.routers for packet, n in r.holdings() if not packet.dropped
         )
-        live += sum(not f.packet.dropped for *_, f in self.pending)
+        live += sum(not f.packet.dropped for _, f in self.pending)
         if self.wireless is not None:
             # the radio holds whole packets, all live
             live += sum(p.length for p in self.wireless.packets())

@@ -29,6 +29,7 @@ its ``pop(0)`` stays cheap.
 from __future__ import annotations
 
 import bisect
+import operator
 from collections import deque
 
 from .errors import ProtocolViolation
@@ -80,14 +81,25 @@ def make_flits(packet):
 
 
 class InputSlot:
-    """What an input slot of a router shares, a wired input VC or the local
-    queue: ``queue``, the flits of at most one packet, oldest first, and
-    ``decision``, the routing choice cached for that packet as (view, next
-    node, out port, downstream input slot), made for its head so the body
-    flits follow the same output; cleared when the packet's tail leaves or
-    its leftovers are purged (``head``)."""
+    """An input slot of a router, a wired input VC or the local queue, set
+    in its place once by ``RouterState``: ``node``, the router's id;
+    ``index``, its arbitration rank; ``came_from`` and ``in_vc``, the
+    upstream node and the VC it arrives on, both None for the local queue.
+    ``queue`` holds the flits of at most one packet, oldest first, and
+    ``decision`` the routing choice cached for that packet as (view, out
+    port, downstream slot), made for its head so the body flits follow the
+    same output; cleared when the packet's tail leaves or its leftovers are
+    purged (``head``)."""
 
-    __slots__ = ()
+    __slots__ = ("node", "index", "came_from", "in_vc", "queue", "decision")
+
+    def __init__(self, node, index, came_from, in_vc):
+        self.node = node
+        self.index = index
+        self.came_from = came_from
+        self.in_vc = in_vc
+        self.queue = []
+        self.decision = None
 
     def head(self):
         """Head-of-line flit, or None once empty. Pops the leftovers of
@@ -110,16 +122,16 @@ class InputVC(InputSlot):
     """One virtual-channel FIFO of a wired input port: ``queue`` holds at
     most ``depth`` flits. Bound to a single packet from head acceptance
     until its tail departs, so the queue holds flits of that packet only,
-    and its tail, once arrived, is ``queue[-1]``.
+    and its tail, once arrived, is ``queue[-1]``. One made with ``depth``
+    alone stands outside any router.
     """
 
-    __slots__ = ("depth", "queue", "bound", "decision")
+    __slots__ = ("depth", "bound")
 
-    def __init__(self, depth):
+    def __init__(self, depth, node=None, index=None, came_from=None, in_vc=None):
+        super().__init__(node, index, came_from, in_vc)
         self.depth = depth
-        self.queue = []
         self.bound = None         # packet currently owning this VC
-        self.decision = None
 
     def push(self, flit, cycle):
         if flit.is_head:
@@ -159,7 +171,8 @@ def flit_ready(policy, slot, flit, now, pipeline):
 
 
 class LocalQueue(InputSlot):
-    """Unbounded open-loop injection queue of one node.
+    """Unbounded open-loop injection queue of one node, the last of its
+    router's slots, with no upstream node or VC.
 
     Only the head-of-line packet is held as flits, in ``queue``; the
     packets behind it wait in ``waiting`` as (packet, cycle queued, hop
@@ -171,13 +184,12 @@ class LocalQueue(InputSlot):
     empty only when ``waiting`` is.
     """
 
-    __slots__ = ("queue", "waiting", "decision")
+    __slots__ = ("waiting",)
     bound = None  # whole packets are queued at once, so never bound
 
-    def __init__(self):
-        self.queue = []
+    def __init__(self, node=None, index=None):
+        super().__init__(node, index, None, None)
         self.waiting = deque()
-        self.decision = None
 
     def push_packet(self, packet, cycle, hop_count):
         if self.queue:
@@ -207,15 +219,16 @@ class LocalQueue(InputSlot):
         return flit
 
 
+_rank = operator.attrgetter("index")
+
+
 class RouterState:
     """Per-node input slots, arbitration pointers, and counters.
 
-    ``inputs[(port, vc)]`` is the input VC of wired port ``port``, whose
-    index is the topology's neighbor slot ``neighbors[port]``; the local
-    queue is the node's open-loop injection source. ``slots`` lists every
-    input slot in the fixed arbitration order as (index, holder, upstream
-    node, input VC): wired inputs by (port, VC), then the local queue,
-    which has neither; a slot's index is its rank. ``rr[port]`` is the
+    ``slots`` lists every input slot of node ``node`` in the fixed
+    arbitration order, each at its ``index``: the input VCs of wired port
+    ``port``, whose neighbour is ``neighbors[port]``, by (port, VC), then
+    ``local``, the node's open-loop injection source. ``rr[port]`` is the
     round-robin pointer of output port ``port``, a slot index.
 
     ``occupied`` lists, in the same order, exactly the slots holding a flit
@@ -223,37 +236,32 @@ class RouterState:
     (the engine module docstring's *Active set* says when).
     """
 
-    def __init__(self, neighbors, vc_count, depth):
-        self.inputs = {
-            (port, vc): InputVC(depth)
-            for port in range(len(neighbors))
-            for vc in range(vc_count)
-        }
-        self.local = LocalQueue()
-        slots = [(vc, neighbors[port], in_vc) for (port, in_vc), vc in self.inputs.items()]
-        slots.append((self.local, None, None))
-        self.slots = [(i, *slot) for i, slot in enumerate(slots)]
+    def __init__(self, node, neighbors, vc_count, depth):
+        self.slots = [
+            InputVC(depth, node, i, neighbors[i // vc_count], i % vc_count)
+            for i in range(len(neighbors) * vc_count)
+        ]
+        self.local = LocalQueue(node, len(self.slots))
+        self.slots.append(self.local)
         self.occupied = []
         self.rr = [0] * len(neighbors)
 
     def occupy(self, slot):
         """Put ``slot``, one of ``slots`` and empty and unbound until now,
         into ``occupied`` at its rank."""
-        bisect.insort(self.occupied, slot)
+        bisect.insort(self.occupied, slot, key=_rank)
 
     def congestion(self):
         """Total wired buffered flits; feeds DyXY's occupancy signal."""
-        return sum(len(vc.queue) for vc in self.inputs.values())
+        return sum(len(slot.queue) for slot in self.slots) - len(self.local.queue)
 
     def holdings(self):
         """(packet, flits) for everything this router holds: 1 for each
         buffered flit, the packet length for each packet waiting at the
         source."""
-        for vc in self.inputs.values():
-            for f in vc.queue:
+        for slot in self.slots:
+            for f in slot.queue:
                 yield f.packet, 1
-        for f in self.local.queue:
-            yield f.packet, 1
         for packet, _, _ in self.local.waiting:
             yield packet, packet.length
 

@@ -140,8 +140,6 @@ class TopologyScore:
 def mesh(width, height):
     if width < 1 or height < 1:
         raise InvalidParams("mesh dimensions must be positive")
-    if width * height < 1:
-        raise InvalidParams("empty mesh")
     adj = []
     for y in range(height):
         for x in range(width):

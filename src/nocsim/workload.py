@@ -13,6 +13,7 @@ analysis commands that do, never loads it.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -257,49 +258,39 @@ def check_fault_event(event, topology, where=""):
         raise InvertedInterval(f"{where}down {event.down_cycle} >= up {event.up_cycle}")
 
 
+FAULT_LINES = {"node": "node <id> <down> <up|inf>", "link": "link <u> <v> <down> <up|inf>"}
+
+
 def parse_fault_schedule(text, topology):
-    """One event per line: 'node <id> <down> <up|inf>' or
-    'link <u> <v> <down> <up|inf>'. Blank lines and #-comments allowed."""
+    """One event per line, as ``FAULT_LINES`` gives it. Blank lines and
+    #-comments allowed."""
     events = []
     for ln_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        # (text, column) of each token, for an error that names its column
+        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+        if not tokens:
             continue
-        parts = line.split()
-        kind = parts[0]
-        if kind == "node":
-            if len(parts) != 4:
-                raise ScheduleSyntaxError("expected 'node <id> <down> <up|inf>'", ln_no)
-            node = _parse_int(parts[1], ln_no, raw.find(parts[1]) + 1)
-            down = _parse_int(parts[2], ln_no, raw.find(parts[2]) + 1)
-            up = _parse_up(parts[3], ln_no, raw.find(parts[3]) + 1)
-            element = ("node", node)
-        elif kind == "link":
-            if len(parts) != 5:
-                raise ScheduleSyntaxError(
-                    "expected 'link <u> <v> <down> <up|inf>'", ln_no
-                )
-            u = _parse_int(parts[1], ln_no, raw.find(parts[1]) + 1)
-            v = _parse_int(parts[2], ln_no, raw.find(parts[2]) + 1)
-            down = _parse_int(parts[3], ln_no, raw.find(parts[3]) + 1)
-            up = _parse_up(parts[4], ln_no, raw.find(parts[4]) + 1)
-            element = ("link", u, v)
-        else:
+        kind = tokens[0][0]
+        if kind not in FAULT_LINES:
             raise ScheduleSyntaxError(f"unknown element kind {kind!r}", ln_no)
-        event = FaultEvent(element, down, up)
+        if len(tokens) != len(FAULT_LINES[kind].split()):
+            raise ScheduleSyntaxError(f"expected {FAULT_LINES[kind]!r}", ln_no)
+        *ids, down = [_parse_int(ln_no, *token) for token in tokens[1:-1]]
+        event = FaultEvent((kind, *ids), down, _parse_up(ln_no, *tokens[-1]))
         check_fault_event(event, topology, f"line {ln_no}: ")
         events.append(event)
     return FaultSchedule(tuple(events))
 
 
-def _parse_int(token, line, col):
+def _parse_int(line, token, col):
     try:
         return int(token)
     except ValueError:
         raise ScheduleSyntaxError(f"expected integer, got {token!r}", line, col) from None
 
 
-def _parse_up(token, line, col):
+def _parse_up(line, token, col):
     if token == "inf":
         return INFINITY
-    return _parse_int(token, line, col)
+    return _parse_int(line, token, col)

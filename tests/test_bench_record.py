@@ -88,6 +88,30 @@ def test_record_pairs_runs_by_workload_and_seed(checkouts):
     assert rec["tier1_s"] is None  # not measured
     assert rec["bytecode"] == {"parent": False, "change": False}
     assert rec["src_lines"] == {"parent": 100, "change": 93, "net": -7}
+    assert rec["src_code_lines"] == {"parent": 100, "change": 93, "net": -7}
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines(tmp_path):
+    """Of the 11 lines below, 4 hold code: the def, the statement with a
+    trailing comment and both lines of the call. A string that is an
+    argument, not a statement by itself, is code."""
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text(
+        '"""Module docstring,\n'
+        'two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "def f():\n"
+        "    '''One-line docstring.'''\n"
+        "    # another comment\n"
+        "\n"
+        "    return 1  # trailing comment\n"
+        "x = g(\n"
+        "    'not a docstring')\n"
+    )
+    assert bench_record.src_lines(str(tmp_path)) == 11
+    assert bench_record.src_code_lines(str(tmp_path)) == 4
 
 
 def test_main_writes_the_record_and_refuses_bench(checkouts, tmp_path, capsys):

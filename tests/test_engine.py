@@ -689,7 +689,7 @@ def test_run_memory_follows_the_flits_in_flight_past_saturation():
         waiting = set()
         for r in sim.routers:
             assert len({f.packet for f in r.local.queue}) <= 1, now
-            assert all(len(vc.queue) <= cfg.buffer_depth for vc in r.inputs.values())
+            assert all(len(vc.queue) <= cfg.buffer_depth for vc in r.slots[:-1])
             waiting.update(p for p, _, _ in r.local.waiting)
         assert not waiting & made, now
         most_waiting[0] = max(most_waiting[0], len(waiting))
@@ -751,11 +751,7 @@ def faulted_wireless_config(drain_cycles, packet_length=4, **kw):
 
 def occupied_routers(sim):
     """Full walk: routers with a queued flit or an input VC bound to a packet."""
-    return {
-        u for u, r in enumerate(sim.routers)
-        if r.local.queue
-        or any(vc.queue or vc.bound is not None for vc in r.inputs.values())
-    }
+    return {u for u, r in enumerate(sim.routers) if occupied_slots(r)}
 
 
 # ten packets queued at node 20 at cycle 140: at its failure (150-260 in
@@ -789,7 +785,7 @@ ACTIVE_SET_CASES = {
 def occupied_slots(router):
     """Full walk: the router's slots with a queued flit or a bound VC, in
     slot order."""
-    return [s for s in router.slots if s[1].queue or s[1].bound is not None]
+    return [s for s in router.slots if s.queue or s.bound is not None]
 
 
 @pytest.mark.parametrize("case", sorted(ACTIVE_SET_CASES))
@@ -804,8 +800,7 @@ def test_active_set_matches_a_full_walk_after_every_cycle(case):
     def checked_send_phase(now):
         seen["bound_only"] += sum(
             sim.view.has_node(u)
-            and not sim.routers[u].local.queue
-            and not any(vc.queue for vc in sim.routers[u].inputs.values())
+            and not any(s.queue for s in sim.routers[u].slots)
             for u in occupied_routers(sim)
         )
         progress = send_phase(now)
@@ -822,6 +817,39 @@ def test_active_set_matches_a_full_walk_after_every_cycle(case):
     assert report.delivered > 0 and report.residual == 0
     assert seen["busy"] > 100
     assert seen["bound_only"] > 0  # alive routers held only by a bound VC
+
+
+SLOT_IDENTITY_CASES = {
+    "mesh_4x3": lambda: quiet_config(topo.mesh(4, 3)),
+    "torus_4x4_two_vcs": lambda: quiet_config(topo.torus(4, 4), vc_count=2),
+    "circulant_12_1_5": lambda: quiet_config(topo.circulant(12, (1, 5)), "neighborhood"),
+    "flattened_butterfly_3x3": lambda: quiet_config(
+        topo.flattened_butterfly(3, 3), "neighborhood"),
+    "edge_list": lambda: quiet_config(topo.from_edge_list_text(
+        "nodes 6\n2 0\n0 1\n1 2\n3 2\n3 5\n4 3\n5 4\n"), "neighborhood"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SLOT_IDENTITY_CASES))
+def test_every_slot_knows_its_node_rank_upstream_node_and_vc(case):
+    """The slot at the far end of (u, port p, VC vc) belongs to u's p-th
+    neighbour v and arrives from u on vc; each slot's index is its place in
+    its router's ``slots``, and the local queue, last, has no upstream."""
+    sim = engine.Simulation(SLOT_IDENTITY_CASES[case]())
+    assert sim.vc_count == (2 if case.startswith("torus") else 1)
+    for u in range(sim.n):
+        for p, v in enumerate(sim.topo.neighbors(u)):
+            down = sim.down_slot[u][p]
+            assert len(down) == sim.vc_count
+            for vc, slot in enumerate(down):
+                assert any(s is slot for s in sim.routers[v].slots), (u, p, vc)
+                assert (slot.node, slot.came_from, slot.in_vc) == (v, u, vc)
+    for v, router in enumerate(sim.routers):
+        assert [s.index for s in router.slots] == list(range(len(router.slots)))
+        assert all(s.node == v for s in router.slots)
+        local = router.slots[-1]
+        assert local is router.local and local.came_from is None and local.in_vc is None
+        assert len(router.slots) == sim.topo.degree(v) * sim.vc_count + 1
 
 
 # node 0's slots: the inputs from nodes 1-4 (ranks 0-3), then its local
@@ -851,7 +879,7 @@ def test_round_robin_serves_contenders_in_rank_order_past_the_pointer(sources, r
 
     def observed_send_phase(now):
         progress = send_phase(now)
-        sent = [f.packet.src for u, _, _, f in sim.pending if u == 0]
+        sent = [f.packet.src for slot, f in sim.pending if slot.came_from == 0]
         if sent:
             served.append((now, sent, rr[3]))
         return progress
@@ -1091,7 +1119,7 @@ def test_a_cut_link_drops_a_worm_whose_vc_is_momentarily_empty(cycle):
     seen = []
 
     def recorded_apply_faults(now):
-        vc = sim.down_slot[0][sim.topo.port_of[0][1]][0][1]
+        vc = sim.down_slot[0][sim.topo.port_of[0][1]][0]
         bound_empty = vc.bound is not None and not vc.queue
         progress = apply_faults(now)
         # applied again, the change cuts only a dropped packet: no progress

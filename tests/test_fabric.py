@@ -10,6 +10,9 @@ def packet(length, pid=0):
     return fabric.Packet(pid, 0, 1, length, inject_cycle=0)
 
 
+DECISION = ("view", 0, None)  # (view, out port, downstream slot)
+
+
 # -- flit framing ------------------------------------------------------------
 
 def test_make_flits_framing():
@@ -140,7 +143,7 @@ def test_local_queue_atomic_push_and_decision_reset():
     p = packet(3)
     q.push_packet(p, 7, 2)
     assert all(f.arrival == 7 and f.hop_count == 2 for f in q.queue)
-    q.decision = (p.pid, 0, 0, 1)
+    q.decision = DECISION
     q.pop()
     q.pop()
     assert q.decision is not None
@@ -179,9 +182,6 @@ def test_saf_readiness_of_a_local_queue_head_is_the_pipeline_delay():
 
 
 # -- head of an input slot ---------------------------------------------------
-
-DECISION = ("view", 5, 0, None)  # (view, next node, out port, downstream VC)
-
 
 def test_head_pops_a_dropped_worms_flits_and_releases_its_vc():
     vc = fabric.InputVC(depth=4)
@@ -236,22 +236,21 @@ def test_head_of_a_local_queue_skips_a_dropped_packet_to_the_live_one():
 def test_router_state_slots_in_arbitration_order():
     """Wired inputs by (port, VC), each with the neighbour at the far end
     of its port, then the local queue; a slot's index is its rank."""
-    r = fabric.RouterState((7, 8, 9), vc_count=2, depth=4)
-    assert r.slots == [
-        (0, r.inputs[(0, 0)], 7, 0), (1, r.inputs[(0, 1)], 7, 1),
-        (2, r.inputs[(1, 0)], 8, 0), (3, r.inputs[(1, 1)], 8, 1),
-        (4, r.inputs[(2, 0)], 9, 0), (5, r.inputs[(2, 1)], 9, 1),
-        (6, r.local, None, None),
+    r = fabric.RouterState(5, (7, 8, 9), vc_count=2, depth=4)
+    assert [(s.index, s.node, s.came_from, s.in_vc) for s in r.slots] == [
+        (0, 5, 7, 0), (1, 5, 7, 1), (2, 5, 8, 0), (3, 5, 8, 1),
+        (4, 5, 9, 0), (5, 5, 9, 1), (6, 5, None, None),
     ]
+    assert all(type(s) is fabric.InputVC and s.depth == 4 for s in r.slots[:-1])
+    assert r.slots[-1] is r.local
     assert r.rr == [0, 0, 0]
 
 
 def test_router_state_layout_and_congestion():
-    r = fabric.RouterState((7, 8, 9), vc_count=2, depth=4)
-    assert set(r.inputs) == {(p, v) for p in range(3) for v in range(2)}
+    r = fabric.RouterState(5, (7, 8, 9), vc_count=2, depth=4)
     p = packet(2)
     for i, f in enumerate(fabric.make_flits(p)):
-        r.inputs[(1, 0)].push(f, i)
+        r.slots[2].push(f, i)
     r.local.push_packet(packet(4, pid=2), 0, 0)
     r.local.push_packet(packet(4, pid=3), 0, 0)
     assert r.congestion() == 2  # local queue flits do not count

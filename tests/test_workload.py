@@ -364,6 +364,13 @@ def test_parse_schedule_errors():
         workload.parse_fault_schedule("router 4 0 10", t)
     with pytest.raises(ScheduleSyntaxError):
         workload.parse_fault_schedule("node four 0 10", t)
+    # the column is the bad token's own, not where its text first occurs
+    with pytest.raises(ScheduleSyntaxError) as exc:
+        workload.parse_fault_schedule("link 0 1 5 in", t)
+    assert (exc.value.line, exc.value.column) == (1, 12)
+    with pytest.raises(ScheduleSyntaxError) as exc:
+        workload.parse_fault_schedule("node 0 o 5", t)
+    assert (exc.value.line, exc.value.column) == (1, 8)
     with pytest.raises(UnknownElement):
         workload.parse_fault_schedule("node 99 0 10", t)
     with pytest.raises(UnknownElement):

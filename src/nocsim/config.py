@@ -211,8 +211,14 @@ class ExperimentConfig:
 
 
 def parse_config(text, base_dir=".", seed_override=None):
-    """Full experiment config: a SimConfig template plus sweep axes."""
+    """Full experiment config: a SimConfig template plus sweep axes, none
+    listing a value twice; ``seed_override`` replaces the seed axis."""
     values = parse_kv_text(text)
+    for key in ("sweep.rates", "sweep.seeds", "sweep.algorithms"):
+        axis = values[key] or ()
+        for i, value in enumerate(axis):
+            if value in axis[:i]:
+                raise ConfigError(f"{key} lists {value} twice")
     topology = _build_topology(values, base_dir)
     seed = values["sim.seed"] if seed_override is None else seed_override
     traffic = _build_traffic(values, topology, base_dir, seed)
@@ -253,7 +259,7 @@ def parse_config(text, base_dir=".", seed_override=None):
     experiment = ExperimentConfig(
         template=template,
         rates=values["sweep.rates"] or (traffic.injection_rate,),
-        seeds=values["sweep.seeds"] or (seed,),
+        seeds=(seed,) if seed_override is not None else values["sweep.seeds"] or (seed,),
         algorithms=values["sweep.algorithms"] or (template.algorithm,),
     )
     # every sweep variant must itself be valid

@@ -13,27 +13,27 @@ the head's node on.
 The cost of a cycle follows the number of occupied routers, not the size
 of the network:
 
-* Active set. Each router lists its occupied input slots
-  (``fabric.InputSlot`` objects), those with a queued flit (in an input VC
-  or the local queue) or an input VC still bound to a packet, in
-  arbitration order (``fabric.RouterState.occupied``), and
-  ``Simulation.active`` holds exactly the routers whose list is not
-  empty, failed routers included. Packets waiting at a source sit behind
-  its local queue's head-of-line flits, so they never occupy a slot by
-  themselves. A slot fills only when a head binds its VC (an arrival) or
-  a packet enters its empty local queue (injection, radio re-injection),
-  and empties only when a send or a discard (``fabric.InputSlot.head``)
-  leaves it empty and unbound; the engine updates both lists at exactly
-  those points. A bound VC with an empty queue stays occupied because its
-  packet may have been dropped upstream: the visit that releases the
-  binding changes what ``flow_control_accept`` upstream sees. A fault
-  change drops everything a failed router holds, and the send phase skips
-  the router, so its leftovers stay until it heals; its first visit then
-  discards them and releases their bindings. The send phase visits the
-  set in ascending node id, the order of a full scan, because looking at
-  a slot may drop packets or discard flits (``fabric.InputSlot.head``,
-  ``_decision_for``) and those side effects are seen by the routers
-  visited after it.
+* Active set. ``Simulation.occupied`` lists every occupied input slot
+  (``fabric.InputSlot``), failed routers included, in (node, slot index)
+  order, which each slot's ``rank``, set once when the routers are built,
+  numbers: those with a queued flit (in an input VC or the local queue) or
+  an input VC still bound to a packet. Packets waiting at a source sit
+  behind its local queue's head-of-line flits, so they never occupy a slot
+  by themselves. A slot fills only when a head binds its VC (an arrival)
+  or a packet enters its empty local queue (injection, radio
+  re-injection), and empties only when a send or a discard
+  (``fabric.InputSlot.head``) leaves it empty and unbound; the engine
+  inserts and removes it at exactly those points, by a bisect on its rank,
+  except that the slots a discard empties are filtered out after the walk.
+  A bound VC with an empty queue stays occupied because its packet may
+  have been dropped upstream: the visit that releases the binding changes
+  what ``flow_control_accept`` upstream sees. A fault change drops
+  everything a failed router holds, and the send phase skips the router,
+  so its leftovers stay until it heals; its first visit then discards them
+  and releases their bindings. The send phase walks the list in one loop,
+  the order of a full scan, because looking at a slot may drop packets or
+  discard flits (``fabric.InputSlot.head``, ``_decision_for``) and those
+  side effects are seen by the slots visited after it.
 * Injection draw. Draw 0 of every node is computed for a block of cycles
   at once by ``workload.draw0_block`` (about 4096 node-cycles, at least
   one cycle), whose wrapping uint64 arithmetic is bit-identical to
@@ -44,38 +44,42 @@ of the network:
 * Per-flit work. A packet's flits are made only when it reaches the head
   of its source's local queue (``fabric.LocalQueue``), so the flits that
   exist are those in flight plus one packet per backlogged source, and
-  each buffer is a short list. An input slot knows its node, rank,
-  upstream node and input VC (``fabric.InputSlot``), and the engine
+  each buffer is a short list. An input slot knows its node, its ranks,
+  its upstream node and input VC (``fabric.InputSlot``), and the engine
   tabulates every (node, out_port, out_vc) with the input slot at its far
   end. A cached routing decision carries that slot, and a send appends
   (that slot, flit) to ``pending``, so an arrival is pushed, and its slot
   occupied, without a lookup. Only fabric pops a dropped packet's
   leftovers and releases a binding and its decision. A head's decision
-  is one call to ``_decide``, which calls the relation's closure, which
-  calls the algorithm's options; the out port comes from the topology's
-  own port map. Neither a send nor an arrival
-  tests alive-ness, and no decision changes for it: every fault change
-  builds a new view, and a decision, which carries the view it was made
-  or rechecked over, is used only while that view is current, so its
-  link is up and both ends are alive (a failed node takes its links
-  down); and a fault change, applied before the arrivals of its cycle,
-  drops every packet with a flit on a link or into a node that fails, and
-  every worm cut off from its tail by a failed link. Only the slots of a
-  failed router itself are skipped, by a set lookup in the view's failed
-  nodes. Flow control is one rule for every switching policy
+  is one call to ``_decision_for``, which calls the relation's closure,
+  which calls the algorithm's options (greedy's come from a per-view
+  table, ``routing.RoutingContext``); the out port comes from the
+  topology's own port map. Neither a send nor an arrival tests
+  alive-ness, and no decision changes for it: every fault change builds a
+  new view, and a decision, which carries the view it was made or
+  rechecked over, is used only while that view is current, so its link is
+  up and both ends are alive (a failed node takes its links down); and a
+  fault change, applied before the arrivals of its cycle, drops every
+  packet with a flit on a link or into a node that fails, and every worm
+  cut off from its tail by a failed link. Only a failed router's own slots
+  are skipped, by one set lookup in the view's failed nodes as the walk
+  reaches the router. Flow control is one rule for every switching policy
   (``fabric.flow_control_accept``), and so is readiness, for the local
-  queue too (``fabric.flit_ready``). Arbitration is one pass over a
-  router's occupied slots: each output port keeps the ready candidate of
-  smallest round-robin rank ``(i - rr[port]) % n_slots``, then every
-  winner is sent and its port's pointer set past its slot. The per-port
-  map is built only once a second ready candidate shows up: a lone one
-  wins its port with nothing to compare, and most visits to a lightly
-  loaded router find exactly one. Winners are sent in the order their
-  ports first show up, not by port; that changes no report byte,
-  since each winner goes to a different neighbour and arrivals at
-  different nodes commute (only which packet a strict livelock abort names
-  could differ, were two flits of one router to pass the bound in the same
-  cycle). A send carries its output port and bumps
+  queue too (``fabric.flit_ready``). Arbitration rides the walk, in which
+  a router's slots are consecutive: each output port keeps the ready
+  candidate of smallest round-robin rank ``(i - rr[port]) % n_slots``, in
+  its place in the list of sends, and the pointers move past each winner
+  only as it is sent, after the walk, so every rank reads them as they
+  stood at the start of the cycle. The per-port map is built only once a
+  second ready candidate shows up: a lone one wins its port with nothing
+  to compare, and most visits to a lightly loaded router find exactly
+  one. Sends keep router order, which sets the order of the radio queue
+  at a hub that two tails reach in one cycle, then the order in which
+  their ports first show up, not port order; that changes no report byte,
+  since each winner of a router goes to a different neighbour and
+  arrivals at different nodes commute (only which packet a strict
+  livelock abort names could differ, were two flits of one router to pass
+  the bound in the same cycle). A send carries its output port and bumps
   ``port_busy[u][out_port]`` during measurement; ``_report`` maps the
   counters back to (u, v) links.
 * Idle cycles. The packet ledger (``_in_flight``), which the deadlock
@@ -106,6 +110,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 
@@ -116,6 +121,8 @@ from .addressing import (
     default_anchors,
 )
 from .errors import ConfigError, DeadlockDetected, LivelockDetected
+
+_rank = operator.attrgetter("rank")
 
 
 @dataclass(frozen=True)
@@ -288,7 +295,9 @@ class Simulation:
             fabric.RouterState(u, self.topo.neighbors(u), self.vc_count, config.buffer_depth)
             for u in range(self.n)
         ]
-        self.active = set()  # routers with an occupied input slot
+        for rank, slot in enumerate(s for r in self.routers for s in r.slots):
+            slot.rank = rank
+        self.occupied = []  # every occupied input slot, by rank
         # input slot at the downstream end of every (u, out_port, out_vc):
         # a router's slots list its wired inputs by (port, VC) first
         k = self.vc_count
@@ -349,23 +358,6 @@ class Simulation:
         self.block_cycles = max(1, 4096 // self.n)
         self.drawn_until = 0
         self.hits = deque()
-
-    # ------------------------------------------------------------------
-    # routing decisions
-    # ------------------------------------------------------------------
-
-    def _decide(self, node, packet, in_vc, came_from):
-        """(next_node, out_vc) for the head of ``packet`` at ``node``: the
-        option of its algorithm's transition, picked among two or more,
-        whose route the packet carries on; None drops the packet (no route
-        over the alive view)."""
-        options = self.next_hops(node, packet.dst, in_vc, came_from, packet.route)
-        if not options:
-            return None
-        nxt, vc, packet.route = (
-            options[0] if len(options) == 1 else self.algo.pick(options, self.congestion)
-        )
-        return (nxt, vc) if self.view.has_link(node, nxt) else None
 
     # ------------------------------------------------------------------
     # run loop
@@ -478,8 +470,7 @@ class Simulation:
                 continue
             slot.push(flit, now)
             if flit.is_head:  # binds a VC that was empty and unbound
-                self.routers[node].occupy(slot)
-                self.active.add(node)
+                bisect.insort(self.occupied, slot, key=_rank)
         return True  # every arrival is consumed, buffered or discarded
 
     def _consume(self, node, flit, now):
@@ -578,11 +569,9 @@ class Simulation:
         if packet.route == ():  # dst unreachable over the alive view
             self._drop_packet(packet)
             return
-        router = self.routers[node]
-        local = router.local
+        local = self.routers[node].local
         if not local.queue:
-            router.occupy(local)
-            self.active.add(node)
+            bisect.insort(self.occupied, local, key=_rank)
         local.push_packet(packet, now, hop_count)
 
     def _wireless_cycle(self, now):
@@ -604,72 +593,64 @@ class Simulation:
         accept = fabric.flow_control_accept
         policy, pipeline, view = self.policy, self.pipeline, self.view
         failed = view.failed_nodes
-        routers, active = self.routers, self.active
+        routers, occupied = self.routers, self.occupied
         sends = []  # (slot, decision), a decision laid out as in fabric.InputSlot
-        for u in sorted(active):
-            if u in failed:
+        u, vacated = None, False
+        for slot in occupied:
+            if slot.node != u:  # a router's first slot: its arbitration starts
+                u = slot.node
+                skip = u in failed
+                # its first candidate's place in sends, and once a second
+                # shows up, out port -> (round-robin rank, place in sends)
+                first = ports = None
+            if skip:
                 continue
-            router = routers[u]
-            occupied, rr = router.occupied, router.rr
-            n_slots = len(router.slots)
-            # the first ready candidate, and once a second one shows up, per
-            # output port the one it serves next: (round-robin rank, slot,
-            # decision)
-            first = winners = None
-            vacated = False
-            for slot in occupied:
-                q = slot.queue
-                # head() discards what dropped packets left behind
-                flit = q[0] if q and not q[0].packet.dropped else slot.head()
-                if flit is None:
-                    # empty: a live worm still arriving, unless head() let go
-                    vacated |= slot.bound is None
-                    continue
-                d = slot.decision
-                if d is None or d[0] is not view:
-                    d = self._decision_for(slot, flit)
-                    if d is None:
-                        continue
-                if not ready(policy, slot, flit, now, pipeline):
-                    continue
-                down = d[2]
-                # ejection consumes on arrival
-                if down.node != flit.packet.dst and not accept(down, flit):
-                    continue
-                if first is None:  # ranked only once a second shows up
-                    first = (None, slot, d)
-                    continue
-                if winners is None:
-                    _, s0, d0 = first
-                    winners = {d0[1]: ((s0.index - rr[d0[1]]) % n_slots, s0, d0)}
-                out_port = d[1]
-                rank = (slot.index - rr[out_port]) % n_slots
-                w = winners.get(out_port)
-                if w is None or rank < w[0]:
-                    winners[out_port] = (rank, slot, d)
-            if vacated:
-                occupied[:] = [s for s in occupied if s.queue or s.bound is not None]
-                if not occupied:
-                    active.discard(u)
-            if winners is not None:
-                picked = winners.values()
-            elif first is not None:
-                picked = (first,)
-            else:
+            q = slot.queue
+            # head() discards what dropped packets left behind
+            flit = q[0] if q and not q[0].packet.dropped else slot.head()
+            if flit is None:
+                # empty: a live worm still arriving, unless head() let go
+                vacated |= slot.bound is None
                 continue
-            for _, slot, d in picked:
-                rr[d[1]] = (slot.index + 1) % n_slots
+            d = slot.decision
+            if d is None or d[0] is not view:
+                d = self._decision_for(slot, flit)
+                if d is None:
+                    continue
+            if not ready(policy, slot, flit, now, pipeline):
+                continue
+            down = d[2]
+            # ejection consumes on arrival
+            if down.node != flit.packet.dst and not accept(down, flit):
+                continue
+            if first is None:  # ranked only once a second shows up
+                first = len(sends)
                 sends.append((slot, d))
+                continue
+            if ports is None:
+                rr, n_slots = routers[u].rr, len(routers[u].slots)
+                s0, d0 = sends[first]
+                ports = {d0[1]: ((s0.index - rr[d0[1]]) % n_slots, first)}
+            out_port = d[1]
+            rank = (slot.index - rr[out_port]) % n_slots
+            w = ports.get(out_port)
+            if w is None:
+                ports[out_port] = (rank, len(sends))
+                sends.append((slot, d))
+            elif rank < w[0]:
+                ports[out_port] = (rank, w[1])
+                sends[w[1]] = (slot, d)
+        if vacated:
+            occupied[:] = [s for s in occupied if s.queue or s.bound is not None]
         port_busy, pending, hop_limit = self.port_busy, self.pending, self.livelock_bound
         measuring = self.measure_start <= now < self.measure_end
         for slot, (_, out_port, down) in sends:
             u = slot.node
+            router = routers[u]
+            router.rr[out_port] = (slot.index + 1) % len(router.slots)
             flit = slot.pop()
             if not slot.queue and slot.bound is None:
-                occupied = routers[u].occupied
-                occupied.remove(slot)
-                if not occupied:
-                    active.discard(u)
+                del occupied[bisect.bisect_left(occupied, slot.rank, key=_rank)]
             flit.hop_count += 1
             if flit.hop_count > hop_limit:
                 self.livelock_violations += 1
@@ -685,30 +666,33 @@ class Simulation:
     def _decision_for(self, slot, flit):
         """Routing decision for the head-of-line flit when the slot's cached
         one is missing or over an older view (``fabric.InputSlot`` gives its
-        layout); None when the flit cannot move now. A slot holds one
-        packet's flits and fabric clears its decision with them, so a
-        cached one is the packet's own, and a flit without one is a head.
-
-        Every fault change builds a new view, and a decision is used only
-        while the view it was made or rechecked over is current, so its
-        link is up and both ends are alive for as long as it is used: the
-        send needs no alive-ness test of its own."""
+        layout); None, after dropping the packet, when the flit cannot move.
+        A slot holds one packet's flits and fabric clears its decision with
+        them, so a cached one is the packet's own, and a flit without one is
+        a head: it takes its algorithm's option, picked among two or more,
+        and carries that option's route on. A link is tested only in a view
+        with a failed one, as the relation names only neighbours; the module
+        docstring's *Per-flit work* says why no send tests one again."""
         packet, u = flit.packet, slot.node
         cached = slot.decision
-        if cached is not None:
-            if self.view.has_link(u, cached[2].node):
-                slot.decision = (self.view, *cached[1:])
-                return slot.decision
-            # the committed next link died under the packet: drop it
+        if cached is None:
+            options = self.next_hops(u, packet.dst, slot.in_vc, slot.came_from, packet.route)
+            if not options:
+                self._drop_packet(packet)
+                return None
+            nxt, vc, packet.route = (
+                options[0] if len(options) == 1 else self.algo.pick(options, self.congestion)
+            )
+            out_port = self.topo.port_of[u][nxt]
+            down = self.down_slot[u][out_port][vc]
+        else:
+            _, out_port, down = cached
+        view = self.view
+        if view.failed_links and not view.has_link(u, down.node):
+            # no live link, or the committed one died under the packet
             self._drop_packet(packet)
             return None
-        decision = self._decide(u, packet, slot.in_vc, slot.came_from)
-        if decision is None:
-            self._drop_packet(packet)
-            return None
-        nxt, out_vc = decision
-        out_port = self.topo.port_of[u][nxt]
-        slot.decision = (self.view, out_port, self.down_slot[u][out_port][out_vc])
+        slot.decision = (view, out_port, down)
         return slot.decision
 
     # -- accounting ----------------------------------------------------

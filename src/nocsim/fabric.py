@@ -28,8 +28,6 @@ its ``pop(0)`` stays cheap.
 
 from __future__ import annotations
 
-import bisect
-import operator
 from collections import deque
 
 from .errors import ProtocolViolation
@@ -85,13 +83,14 @@ class InputSlot:
     in its place once by ``RouterState``: ``node``, the router's id;
     ``index``, its arbitration rank; ``came_from`` and ``in_vc``, the
     upstream node and the VC it arrives on, both None for the local queue.
-    ``queue`` holds the flits of at most one packet, oldest first, and
-    ``decision`` the routing choice cached for that packet as (view, out
-    port, downstream slot), made for its head so the body flits follow the
-    same output; cleared when the packet's tail leaves or its leftovers are
-    purged (``head``)."""
+    The engine sets ``rank``, its place in the (node, index) order of every
+    router's slots. ``queue`` holds the flits of at most one packet, oldest
+    first, and ``decision`` the routing choice cached for that packet as
+    (view, out port, downstream slot), made for its head so the body flits
+    follow the same output; cleared when the packet's tail leaves or its
+    leftovers are purged (``head``)."""
 
-    __slots__ = ("node", "index", "came_from", "in_vc", "queue", "decision")
+    __slots__ = ("node", "index", "rank", "came_from", "in_vc", "queue", "decision")
 
     def __init__(self, node, index, came_from, in_vc):
         self.node = node
@@ -219,21 +218,16 @@ class LocalQueue(InputSlot):
         return flit
 
 
-_rank = operator.attrgetter("index")
-
-
 class RouterState:
-    """Per-node input slots, arbitration pointers, and counters.
+    """Per-node input slots and arbitration pointers.
 
     ``slots`` lists every input slot of node ``node`` in the fixed
     arbitration order, each at its ``index``: the input VCs of wired port
     ``port``, whose neighbour is ``neighbors[port]``, by (port, VC), then
     ``local``, the node's open-loop injection source. ``rr[port]`` is the
-    round-robin pointer of output port ``port``, a slot index.
-
-    ``occupied`` lists, in the same order, exactly the slots holding a flit
-    or a bound VC, the only ones the send phase walks; the engine keeps it
-    (the engine module docstring's *Active set* says when).
+    round-robin pointer of output port ``port``, a slot index. Which slots
+    are occupied the engine alone keeps, in one list over every router
+    (its module docstring's *Active set*).
     """
 
     def __init__(self, node, neighbors, vc_count, depth):
@@ -243,13 +237,7 @@ class RouterState:
         ]
         self.local = LocalQueue(node, len(self.slots))
         self.slots.append(self.local)
-        self.occupied = []
         self.rr = [0] * len(neighbors)
-
-    def occupy(self, slot):
-        """Put ``slot``, one of ``slots`` and empty and unbound until now,
-        into ``occupied`` at its rank."""
-        bisect.insort(self.occupied, slot, key=_rank)
 
     def congestion(self):
         """Total wired buffered flits; feeds DyXY's occupancy signal."""

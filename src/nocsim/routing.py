@@ -233,8 +233,9 @@ class RoutingContext:
     and per-destination tables. Two are over the base topology and kept
     across fault epochs: hop distances, and the XY next node of every
     node (torus XY ignores faults; the engine drops a packet whose next
-    link is down). Shortest successors are over the alive view, so
-    ``set_view`` clears them."""
+    link is down). Two are over the alive view, so ``set_view`` clears
+    them: shortest successors, and every node's greedy next node, filled by
+    ``next_hop_greedy`` as heads ask."""
 
     def __init__(self, view, vc_count=1, coordinates=None):
         self.view = _as_view(view)
@@ -250,10 +251,12 @@ class RoutingContext:
         self.distances = {}
         self.xy_next = {}     # dst -> next node of each node, filled by route_xy
         self.successors = {}
+        self.greedy_next = {}  # dst -> greedy next node of each node (-1: none)
 
     def set_view(self, view):
         self.view = view
         self.successors.clear()
+        self.greedy_next.clear()
 
     def first_route(self, src, dst):
         """min(neighborhood_routes(view, src, dst)), or () if unreachable."""
@@ -305,11 +308,11 @@ def _xy(ctx, node, dst, in_vc, came_from):
     if ctx.topology.kind == topo.TORUS:
         nxt, vc = torus_xy_next(ctx, node, dst, in_vc, came_from)
         return [(nxt, min(vc, ctx.vc_count - 1), None)]
-    w, h = ctx.grid
-    step = _axis_steps(node % w, dst % w, w, False)
-    if not step:
-        step = w * _axis_steps(node // w, dst // w, h, False)
-    return [(node + step, 0, None)]
+    w = ctx.grid[0]
+    x, dx = node % w, dst % w
+    if x != dx:
+        return [(node + 1 if dx > x else node - 1, 0, None)]
+    return [(node + w if dst > node else node - w, 0, None)]
 
 
 def _minimal(ctx, node, dst, in_vc, came_from):
@@ -319,11 +322,17 @@ def _minimal(ctx, node, dst, in_vc, came_from):
 
 
 def _greedy(ctx, node, dst, in_vc, came_from):
-    try:
-        decision = next_hop_greedy(ctx.coordinates, node, dst, ctx.view.alive_neighbors(node))
-    except CoordinateAliasing:
-        return []
-    return [(decision.node, 0, None)] if decision.kind == "forward" else []
+    nexts = ctx.greedy_next.get(dst)
+    if nexts is None:
+        nexts = ctx.greedy_next[dst] = [None] * ctx.topology.node_count
+    nxt = nexts[node]
+    if nxt is None:
+        try:
+            d = next_hop_greedy(ctx.coordinates, node, dst, ctx.view.alive_neighbors(node))
+        except CoordinateAliasing:
+            d = LOCAL_MINIMUM
+        nxt = nexts[node] = d.node if d.kind == "forward" else -1
+    return [(nxt, 0, None)] if nxt >= 0 else []
 
 
 def _greedy_fallback(ctx, node, dst, in_vc, came_from):

@@ -322,11 +322,13 @@ class TopologyView:
             return [-1] * n, [None] * n
         dist = bfs(self.reverse_adjacency, root)
         succ = [None] * n
-        for u, du in enumerate(dist):
-            if du > 0:
-                succ[u] = min(v for v in self.alive_adjacency[u] if dist[v] == du - 1)
-            elif du == 0:
-                succ[u] = u
+        succ[root] = root
+        # heads in ascending id, so a tail's first successor is its lowest
+        for v, tails in enumerate(self.reverse_adjacency):
+            farther = dist[v] + 1
+            for u in tails:
+                if dist[u] == farther and succ[u] is None:
+                    succ[u] = v
         return dist, succ
 
     def is_connected(self):
@@ -484,6 +486,8 @@ def synthesize(n, max_degree, max_diameter, seed=0, budget=200):
         raise InvalidParams("max_degree must be >= 2")
     if max_diameter < 1:
         raise InvalidParams("max_diameter must be >= 1")
+    if budget < 1:
+        raise InvalidParams("budget must be >= 1")
     if _moore_bound(max_degree, max_diameter) < n:
         raise Infeasible(
             f"degree {max_degree} diameter {max_diameter} reaches at most "
@@ -494,7 +498,7 @@ def synthesize(n, max_degree, max_diameter, seed=0, budget=200):
     rng = random.Random(seed)
     best = None  # (edge_count, avg_distance, edges)
     found_feasible = False
-    for _ in range(max(1, budget)):
+    for _ in range(budget):
         # start from a random maximal degree-capped graph
         deg = [0] * n
         edges = []

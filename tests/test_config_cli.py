@@ -95,6 +95,22 @@ def test_parse_sweep_axes_and_variant_order():
 def test_seed_override():
     exp = parse(BASE + "sim.seed = 7\n", seed_override=99)
     assert exp.template.traffic.seed == 99
+    # it replaces the seed axis too
+    exp = parse(BASE + "sweep.seeds = 0, 1\n", seed_override=7)
+    assert exp.seeds == (7,)
+    assert [v.traffic.seed for v in exp.variants()] == [7]
+
+
+@pytest.mark.parametrize("key,values,repeated", [
+    ("sweep.seeds", "1, 2, 1", "1"),
+    ("sweep.rates", "0.02, 0.05, 0.05", "0.05"),
+    ("sweep.algorithms", "xy, xy", "xy"),
+])
+def test_parse_rejects_a_sweep_axis_listing_a_value_twice(key, values, repeated):
+    """A repeated value would run one variant twice and write its row twice."""
+    with pytest.raises(ConfigError) as caught:
+        parse(BASE + f"{key} = {values}\n")
+    assert str(caught.value) == f"{key} lists {repeated} twice"
 
 
 def test_parse_complement_pattern():
@@ -291,6 +307,14 @@ def test_cli_sweep_writes_byte_identical_csv(tmp_path, capsys):
     assert len(lines) == 1 + 4  # 2 rates x 2 seeds
 
 
+def test_cli_sweep_seed_replaces_the_configs_seed_axis(tmp_path, capsys):
+    config = write_config(tmp_path, BASE + "sweep.seeds = 0, 1\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["sweep", "--config", config, "--seed", "7", "--out", out]) == 0
+    rows = open(os.path.join(out, "results.csv")).read().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["7"]
+
+
 def test_cli_sweep_failure_removes_partial_outputs(tmp_path):
     # second variant has an invalid rate at runtime: simulate via fault file
     # referencing a missing topology element is caught at parse time instead,
@@ -469,6 +493,17 @@ def test_cli_synth_and_score(tmp_path, capsys):
     ])
     out = capsys.readouterr().out
     assert rc == 0 and out.startswith("infeasible:")
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_cli_synth_rejects_a_budget_below_one(budget, capsys):
+    rc = cli.main([
+        "synth", "--n", "6", "--max-degree", "3", "--max-diameter", "2",
+        "--budget", budget,
+    ])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "error: budget must be >= 1\n"
 
 
 @pytest.mark.parametrize("argv,code", [

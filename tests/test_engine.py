@@ -790,9 +790,9 @@ def occupied_slots(router):
 
 @pytest.mark.parametrize("case", sorted(ACTIVE_SET_CASES))
 def test_active_set_matches_a_full_walk_after_every_cycle(case):
-    """After every stepped cycle, ``active`` is exactly the routers, and
-    each router's ``occupied`` exactly the slots, a full walk finds holding
-    a flit or a bound VC."""
+    """After every stepped cycle, ``occupied`` is exactly the slots a full
+    walk of every router finds holding a flit or a bound VC, in (node,
+    index) order, which their ranks follow."""
     sim = engine.Simulation(ACTIVE_SET_CASES[case]())
     send_phase = sim._send_phase
     seen = {"busy": 0, "bound_only": 0}
@@ -804,12 +804,12 @@ def test_active_set_matches_a_full_walk_after_every_cycle(case):
             for u in occupied_routers(sim)
         )
         progress = send_phase(now)
-        # failed routers too: one holding dropped leftovers stays in the set
-        occupied = occupied_routers(sim)
-        assert sim.active == occupied, now
-        for u, router in enumerate(sim.routers):
-            assert router.occupied == occupied_slots(router), (now, u)
-        seen["busy"] += bool(occupied)
+        # failed routers too: one holding dropped leftovers stays in the list
+        walk = [s for router in sim.routers for s in occupied_slots(router)]
+        assert sim.occupied == walk, now
+        # the ranks the list is kept by follow that order
+        assert all(a.rank < b.rank for a, b in zip(walk, walk[1:])), now
+        seen["busy"] += bool(walk)
         return progress
 
     sim._send_phase = checked_send_phase
@@ -1056,7 +1056,7 @@ def test_a_router_failing_with_flits_does_not_hold_up_the_idle_jump():
     the 8-flit worm 0 -> 35 and a VC bound to it, and heals at 600. The
     worm is dropped, so no packet is in flight, and the run jumps over the
     idle cycles up to the heal, though the failed router keeps its dropped
-    leftovers, and so its place in the active set, until then. Report
+    leftovers, and so its slots' place in ``occupied``, until then. Report
     bytes were pinned when every cycle up to the heal was stepped."""
     t = topo.mesh(6, 6)
     sim = engine.Simulation(quiet_config(
@@ -1074,7 +1074,7 @@ def test_a_router_failing_with_flits_does_not_hold_up_the_idle_jump():
         if now == 110:
             held_at_failure.extend(p.pid for p, _ in sim.routers[4].holdings())
         if now == 600:
-            held_at_failure.append(4 in sim.active)
+            held_at_failure.append(any(s.node == 4 for s in sim.occupied))
         return apply_faults(now)
 
     sim._apply_faults = recorded_apply_faults

@@ -205,6 +205,47 @@ def test_xy_table_survives_a_new_view():
     assert routing.torus_xy_next(ctx, 3, 1, None, None) == (0, 1)
 
 
+def test_greedy_table_follows_every_fault_change(monkeypatch):
+    """Greedy options are computed once per (view, node, dst): asked again
+    over one view, a head's options come from the table, and after each
+    fault change, a heal included, they are those of the new view."""
+    t = topo.mesh(4, 4)
+    cmap = corner_coords(t)
+    ctx = routing.RoutingContext(t, coordinates=cmap)
+    next_hops = routing.relation(routing.ALGORITHMS["greedy"], ctx)
+    pairs = [(node, dst) for node in range(16) for dst in range(16) if node != dst]
+
+    def reference(view, node, dst):
+        try:
+            d = greedy(cmap, node, dst, view.alive_neighbors(node))
+        except CoordinateAliasing:
+            return []
+        return [(d.node, 0, None)] if d.kind == "forward" else []
+
+    greedy, calls = routing.next_hop_greedy, []
+    monkeypatch.setattr(
+        routing, "next_hop_greedy", lambda *args: calls.append(args) or greedy(*args)
+    )
+    views = [
+        topo.TopologyView(t),
+        topo.TopologyView(t, failed_links={(5, 6), (6, 5), (9, 13)}),
+        topo.TopologyView(t, failed_nodes={10}),
+        topo.TopologyView(t),
+    ]
+    seen = []
+    for view in views:
+        ctx.set_view(view)
+        calls.clear()
+        for _ in range(2):
+            options = {pair: next_hops(*pair, None, None, None) for pair in pairs}
+            assert options == {pair: reference(view, *pair) for pair in pairs}
+        assert len(calls) == len(pairs)  # the second round read the table
+        seen.append(options)
+    # each fault change moves some head, so a table kept across it would show
+    for before, after in zip(seen, seen[1:]):
+        assert any(before[pair] != after[pair] for pair in pairs)
+
+
 @pytest.mark.parametrize("w,h", [(5, 3), (1, 6), (6, 1), (4, 4)])
 def test_xy_relation_walks_route_xy_on_a_mesh(w, h):
     """From every source to every destination, the xy entry's one option

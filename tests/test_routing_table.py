@@ -1,6 +1,6 @@
 """The engine and the deadlock analysis read one routing table.
 
-Runs are observed from the outside, by wrapping ``Simulation._decide``:
+Runs are observed from the outside, by wrapping ``Simulation._decision_for``:
 every input-channel -> output-channel step a head is routed along must be
 a dependency of the CDG that ``check-deadlock`` builds for the same
 algorithm, and an algorithm that ``check-deadlock`` calls free must never
@@ -64,16 +64,20 @@ def checked_cdg(config):
 def routed_steps(config):
     """Every (input channel, output channel) a head was routed along."""
     sim = engine.Simulation(config)
-    decide = sim._decide
+    decide = sim._decision_for
     steps = set()
 
-    def observed(node, packet, in_vc, came_from):
-        decision = decide(node, packet, in_vc, came_from)
-        if decision is not None and came_from is not None:
-            steps.add(((came_from, node, in_vc), (node, *decision)))
+    def observed(slot, flit):
+        decision = decide(slot, flit)
+        if decision is not None and slot.came_from is not None:
+            down = decision[2]  # the next node's input slot, on the out VC
+            steps.add((
+                (slot.came_from, slot.node, slot.in_vc),
+                (slot.node, down.node, down.in_vc),
+            ))
         return decision
 
-    sim._decide = observed
+    sim._decision_for = observed
     try:
         sim.run()
     except DeadlockDetected:

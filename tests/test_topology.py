@@ -200,6 +200,47 @@ def test_view_never_mutates_base():
     assert t.adjacency == before
 
 
+FAULTED_FAMILIES = {
+    topo.MESH: st.builds(topo.mesh, st.integers(1, 5), st.integers(1, 5)),
+    topo.TORUS: st.builds(topo.torus, st.integers(2, 5), st.integers(2, 5)),
+    topo.CIRCULANT: st.builds(
+        lambda n, s: topo.circulant(n, (1, s)), st.integers(5, 12), st.integers(2, 2)
+    ),
+    topo.FLATTENED_BUTTERFLY: st.builds(
+        topo.flattened_butterfly, st.integers(1, 4), st.integers(1, 4)
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAULTED_FAMILIES))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_shortest_successors_take_the_lowest_id_closer_neighbour(kind, data):
+    """On a view with random failed nodes and one-way failed links, every
+    node's distance is its own BFS distance to the root over alive links,
+    and its successor the lowest-id neighbour over an alive link one hop
+    closer; the root is its own, and a node that cannot reach it has
+    none."""
+    t = data.draw(FAULTED_FAMILIES[kind])
+    n = t.node_count
+    links = sorted((u, v) for u, v, _ in t.links)
+    view = topo.TopologyView(
+        t,
+        failed_nodes=data.draw(st.sets(st.integers(0, n - 1), max_size=2)),
+        failed_links=data.draw(st.sets(st.sampled_from(links), max_size=6)) if links else (),
+    )
+    to_root = {u: view.bfs_distances(u) for u in range(n)}
+    for root in range(n):
+        dist, succ = view.shortest_successors(root)
+        assert dist == [to_root[u][root] for u in range(n)]
+        for u in range(n):
+            closer = [v for _, v in view.alive_neighbors(u) if dist[v] == dist[u] - 1]
+            if dist[u] < 0:
+                assert succ[u] is None
+            else:
+                assert succ[u] == (root if u == root else min(closer)), (root, u)
+
+
 # -- Edge-list round trip ----------------------------------------------------
 
 def test_edge_list_round_trip():
@@ -300,6 +341,9 @@ def test_synthesize_rejects_bad_params():
         topo.synthesize(13, 3, 3)
     with pytest.raises(InvalidParams):
         topo.synthesize(6, 1, 2)
+    for budget in (0, -5):  # no restart at all, not one
+        with pytest.raises(InvalidParams, match="budget must be >= 1"):
+            topo.synthesize(6, 3, 2, budget=budget)
 
 
 def test_synthesize_deterministic_per_seed():

@@ -22,20 +22,22 @@ of the network:
   by themselves. A slot fills only when a head binds its VC (an arrival)
   or a packet enters its empty local queue (injection, radio
   re-injection), and empties only when a send or a discard
-  (``fabric.InputSlot.head``) leaves it empty and unbound; the engine
-  inserts and removes it at exactly those points, by a bisect on its rank,
-  except that the slots a discard empties are filtered out after the walk.
-  A bound VC with an empty queue stays occupied because its packet may
-  have been dropped upstream: the visit that releases the binding changes
-  what ``flow_control_accept`` upstream sees. A fault change drops
-  everything a failed router holds, and the send phase skips the router,
-  so its leftovers stay until it heals; its first visit then discards them
-  and releases their bindings. The send phase walks the list in one loop,
+  (``fabric.InputSlot.head``) leaves it empty and unbound. A slot that
+  fills is appended to ``Simulation.fresh``, which the send phase merges
+  into the list with one sort by rank before its walk; the slots that a
+  discard or a send empties are filtered out once, after the sends, so
+  the list is exact at the end of every cycle. A bound VC with an empty
+  queue stays occupied because its packet may have been dropped upstream:
+  the visit that releases the binding changes what
+  ``flow_control_accept`` upstream sees. A fault change drops everything
+  a failed router holds, and the send phase skips the router, so its
+  leftovers stay until it heals; its first visit then discards them and
+  releases their bindings. The send phase walks the list in one loop,
   the order of a full scan, because looking at a slot may drop packets or
   discard flits (``fabric.InputSlot.head``, ``_decision_for``) and those
   side effects are seen by the slots visited after it.
 * Injection draw. Draw 0 of every node is computed for a block of cycles
-  at once by ``workload.draw0_block`` (about 4096 node-cycles, at least
+  at once by ``workload.draw0_hits`` (about 4096 node-cycles, at least
   one cycle), whose wrapping uint64 arithmetic is bit-identical to
   ``workload.stream_u64``. The hits of a block wait in ``Simulation.hits``
   grouped by cycle, nodes in ascending order; ``workload.inject`` is
@@ -96,13 +98,14 @@ of the network:
 The radio's state, each node's hub and the admission rule with its
 per-hub reservations included, lives in ``fabric.WirelessHubState`` alone.
 
-numpy is imported only in ``Simulation.__init__`` (the uint64 hit
-threshold, next to ``workload.draw0_keys``), not with this module, so the
-analysis commands, which import it, never load numpy. Measured latencies
-are kept as a histogram, and the report's mean and 99th percentile are
-computed from it in plain Python (``latency_stats``), bit-identical to
-numpy's over the expanded list, so a run never loads ``numpy.ma``, which
-``np.percentile`` imports.
+This module imports no numpy, and ``hit_max`` is a plain int: ``workload``
+alone loads numpy, when ``Simulation.__init__`` calls
+``workload.draw0_keys``, for the block draw and its hit test
+(``workload.draw0_hits``), so the analysis commands, which import this
+module, never load it. Measured latencies are kept as a histogram, and
+the report's mean and 99th percentile are computed from it in plain
+Python (``latency_stats``), bit-identical to numpy's over the expanded
+list, so a run never loads ``numpy.ma``, which ``np.percentile`` imports.
 """
 
 from __future__ import annotations
@@ -298,6 +301,7 @@ class Simulation:
         for rank, slot in enumerate(s for r in self.routers for s in r.slots):
             slot.rank = rank
         self.occupied = []  # every occupied input slot, by rank
+        self.fresh = []  # slots occupied since the last send phase
         # input slot at the downstream end of every (u, out_port, out_vc):
         # a router's slots list its wired inputs by (port, VC) first
         k = self.vc_count
@@ -350,9 +354,7 @@ class Simulation:
         # inclusive, as 2**64 is no uint64; -1 (no hit) only at rate 0,
         # where nothing is drawn
         hit_max = workload.hit_threshold(spec.injection_rate / spec.packet_length)
-        import numpy as np
-
-        self.hit_max = np.uint64(hit_max) if hit_max >= 0 else None
+        self.hit_max = hit_max if hit_max >= 0 else None
         # draw 0 is evaluated in blocks of about 4096 node-cycles; the hits
         # drawn ahead wait here as (cycle, [nodes in ascending order])
         self.block_cycles = max(1, 4096 // self.n)
@@ -470,7 +472,7 @@ class Simulation:
                 continue
             slot.push(flit, now)
             if flit.is_head:  # binds a VC that was empty and unbound
-                bisect.insort(self.occupied, slot, key=_rank)
+                self.fresh.append(slot)
         return True  # every arrival is consumed, buffered or discarded
 
     def _consume(self, node, flit, now):
@@ -513,9 +515,8 @@ class Simulation:
         while not hits and self.drawn_until < until:
             start = self.drawn_until
             stop = min(until, start + self.block_cycles)
-            draws = workload.draw0_block(self.draw_keys, start, stop)
-            rows, nodes = (draws <= self.hit_max).nonzero()  # row-major
-            for row, node in zip(rows.tolist(), nodes.tolist()):
+            rows, nodes = workload.draw0_hits(self.draw_keys, start, stop, self.hit_max)
+            for row, node in zip(rows, nodes):
                 cycle = start + row
                 if hits and hits[-1][0] == cycle:
                     hits[-1][1].append(node)
@@ -571,7 +572,7 @@ class Simulation:
             return
         local = self.routers[node].local
         if not local.queue:
-            bisect.insort(self.occupied, local, key=_rank)
+            self.fresh.append(local)
         local.push_packet(packet, now, hop_count)
 
     def _wireless_cycle(self, now):
@@ -593,7 +594,11 @@ class Simulation:
         accept = fabric.flow_control_accept
         policy, pipeline, view = self.policy, self.pipeline, self.view
         failed = view.failed_nodes
-        routers, occupied = self.routers, self.occupied
+        routers, occupied, fresh = self.routers, self.occupied, self.fresh
+        if fresh:
+            occupied += fresh
+            occupied.sort(key=_rank)
+            fresh.clear()
         sends = []  # (slot, decision), a decision laid out as in fabric.InputSlot
         u, vacated = None, False
         for slot in occupied:
@@ -640,8 +645,6 @@ class Simulation:
             elif rank < w[0]:
                 ports[out_port] = (rank, w[1])
                 sends[w[1]] = (slot, d)
-        if vacated:
-            occupied[:] = [s for s in occupied if s.queue or s.bound is not None]
         port_busy, pending, hop_limit = self.port_busy, self.pending, self.livelock_bound
         measuring = self.measure_start <= now < self.measure_end
         for slot, (_, out_port, down) in sends:
@@ -649,8 +652,7 @@ class Simulation:
             router = routers[u]
             router.rr[out_port] = (slot.index + 1) % len(router.slots)
             flit = slot.pop()
-            if not slot.queue and slot.bound is None:
-                del occupied[bisect.bisect_left(occupied, slot.rank, key=_rank)]
+            vacated |= not slot.queue and slot.bound is None
             flit.hop_count += 1
             if flit.hop_count > hop_limit:
                 self.livelock_violations += 1
@@ -661,6 +663,8 @@ class Simulation:
             pending.append((down, flit))
             if measuring:
                 port_busy[u][out_port] += 1
+        if vacated:  # emptied by a discard or a send
+            occupied[:] = [s for s in occupied if s.queue or s.bound is not None]
         return bool(sends)
 
     def _decision_for(self, slot, flit):

@@ -5,15 +5,23 @@ Injection randomness is counter-based: every draw is a pure function of
 which order nodes are evaluated. The (seed, node, cycle) part of the hash
 is one prefix, which ``inject`` computes once for all its draws.
 
-numpy is imported only inside the block draw (``_mix_vector``,
-``draw0_keys``, ``draw0_block``), so importing this module, and the
-analysis commands that do, never loads it.
+numpy is the package's one third-party import, and ``_numpy`` is where
+it is imported: the block draw (``_mix_vector``, ``draw0_keys``,
+``draw0_block``, ``draw0_hits``) loads it on first use, so importing this
+module, and the analysis commands that do, never loads it. Unless numpy
+is already loaded or the environment sets a BLAS thread count
+(``BLAS_THREAD_COUNTS``), it is imported with ``OPENBLAS_NUM_THREADS=1``,
+which ``os.environ`` holds only for the import. OpenBLAS then starts no
+thread pool, about half of numpy's import time, and no draw misses it,
+as none calls a BLAS routine.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
+import sys
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -71,11 +79,30 @@ def stream_float(seed, node, cycle, draw=0):
     return unit_float(stream_u64(seed, node, cycle, draw))
 
 
+# the variables OpenBLAS reads its thread count from; a user's setting of
+# any of them is left to stand
+BLAS_THREAD_COUNTS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _numpy():
+    """The numpy module, imported on first use with a one-thread OpenBLAS
+    unless numpy is already loaded or a thread count is set; the variable
+    set for the import is removed again, so no child process inherits it."""
+    pin = "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_COUNTS)
+    if pin:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        if pin:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+    return numpy
+
+
 def _mix_vector(x):
     """``_mix`` over a uint64 array; numpy's uint64 arithmetic wraps mod
     2**64 exactly like the masked Python version."""
-    import numpy as np
-
+    np = _numpy()
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return x ^ (x >> np.uint64(31))
@@ -84,8 +111,7 @@ def _mix_vector(x):
 def draw0_keys(seed, node_count):
     """Per-node part of draw 0: the first two mixes of ``stream_u64``
     depend only on (seed, node)."""
-    import numpy as np
-
+    np = _numpy()
     h = _mix(seed ^ 0x9E3779B97F4A7C15)
     return np.array([_mix(h ^ node) for node in range(node_count)], dtype=np.uint64)
 
@@ -94,11 +120,19 @@ def draw0_block(keys, start, stop):
     """``stream_u64(seed, node, cycle, 0)`` for every cycle in
     ``[start, stop)`` (rows) and every node (columns) in one evaluation,
     from ``draw0_keys(seed, ...)``; bit-identical to the scalar stream."""
-    import numpy as np
-
+    np = _numpy()
     cycles = np.arange(start, stop, dtype=np.uint64) * np.uint64(0xD1B54A32D192ED03)
     h = _mix_vector(keys[np.newaxis, :] ^ cycles[:, np.newaxis])
     return _mix_vector(h)  # draw 0 xors in 0 * 0x8CB92BA72F3D8DD7
+
+
+def draw0_hits(keys, start, stop, hit_max):
+    """The draw-0 hits of ``draw0_block(keys, start, stop)`` against
+    ``hit_threshold``'s ``hit_max`` (at least 0), as two lists in row-major
+    order: each hit's row (its cycle minus ``start``) and its node."""
+    np = _numpy()
+    rows, nodes = (draw0_block(keys, start, stop) <= np.uint64(hit_max)).nonzero()
+    return rows.tolist(), nodes.tolist()
 
 
 def hit_threshold(prob):

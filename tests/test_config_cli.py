@@ -603,11 +603,17 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "networkx"))
 """
 
 
-def run_script(script, *args):
+def run_script(script, *args, environ=None):
     """stdout lines of ``script`` run in a fresh interpreter on this
-    checkout's package."""
+    checkout's package, with ``environ``'s variables set over this
+    process's environment (those mapped to None removed)."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
+    for name, value in (environ or {}).items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", script, *args],
@@ -655,6 +661,53 @@ def test_analysis_commands_load_no_numpy(tmp_path):
     lines = run_script(NO_NUMPY_UNTIL_A_RUN, write_config(tmp_path), str(edges))
     expected = engine.run(parse(BASE).template)
     assert lines == ["[]", "True", repr(expected)]
+
+
+RUN_UNDER_A_THREAD_COUNT = """
+import os, sys
+path, base_dir, numpy_first = sys.argv[1:]
+if numpy_first == "1":
+    import numpy
+from nocsim import config, engine, workload
+
+before = {v: os.environ.get(v) for v in workload.BLAS_THREAD_COUNTS}
+with open(path, encoding="utf-8") as fh:
+    report = engine.run(config.parse_config(fh.read(), base_dir).template)
+print(repr(report))
+print({v: os.environ.get(v) for v in workload.BLAS_THREAD_COUNTS} == before)
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+print(len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None)
+"""
+
+NO_THREAD_COUNT = dict.fromkeys(workload.BLAS_THREAD_COUNTS)
+
+
+@pytest.mark.parametrize("case,environ,numpy_first,count", [
+    # numpy is loaded with one BLAS thread and the variable is gone again
+    ("no thread count", NO_THREAD_COUNT, False, None),
+    # a user's setting stands and is honoured
+    ("a user's count", {**NO_THREAD_COUNT, "OPENBLAS_NUM_THREADS": "2"}, False, "2"),
+    # numpy loaded before nocsim: nothing to set
+    ("numpy first", NO_THREAD_COUNT, True, None),
+])
+def test_numpy_loads_without_a_blas_pool_and_leaves_the_environment(
+        case, environ, numpy_first, count):
+    """A run loads numpy under ``OPENBLAS_NUM_THREADS=1`` only when numpy is
+    not yet loaded and no thread count is set, and restores the
+    environment after the import; the report is the same in every case."""
+    path = os.path.join(GOLDEN, "mesh_xy_uniform.cfg")
+    report, unchanged, after, threads = run_script(
+        RUN_UNDER_A_THREAD_COUNT, path, GOLDEN, str(int(numpy_first)), environ=environ)
+    with open(path, encoding="utf-8") as fh:
+        assert report == repr(engine.run(parse(fh.read(), GOLDEN).template))
+    assert unchanged == "True"
+    assert after == str(count)
+    if threads == "None":
+        pytest.skip("no /proc/self/task to count threads")
+    if case == "no thread count":
+        assert threads == "1"  # OpenBLAS started no pool
+    elif case == "a user's count" and len(os.sched_getaffinity(0)) >= 2:
+        assert threads == "2"
 
 
 RUN_WITHOUT_NUMPY_MA = """

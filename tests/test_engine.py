@@ -136,7 +136,24 @@ def test_config_rejects_bad_wireless():
         cfg = quiet_config(topo.mesh(4, 4), wireless=dataclasses.replace(radio, **kw))
         with pytest.raises(ConfigError):
             cfg.validate()
-    quiet_config(topo.mesh(4, 4), wireless=radio).validate()
+    # the smallest legal radio: one cycle per transfer, one packet queued
+    for kw in (dict(), dict(w_cycles=1), dict(queue_cap=1)):
+        quiet_config(topo.mesh(4, 4), wireless=dataclasses.replace(radio, **kw)).validate()
+
+
+def test_a_one_cycle_radio_carries_packets():
+    """``w_cycles = 1`` is a radio that transfers in one cycle, not an
+    error; it delivers a share of the traffic and loses nothing."""
+    report = engine.run(quiet_config(
+        topo.mesh(4, 4),
+        traffic=workload.TrafficSpec(injection_rate=0.1, packet_length=4, seed=1),
+        wireless=engine.WirelessConfig(
+            enabled=True, hubs=(0, 15), distance_threshold=2, w_cycles=1,
+        ),
+        measure_cycles=300,
+    ))
+    assert report.wireless_share > 0
+    assert report.delivered == report.injected and report.residual == 0
 
 
 @pytest.mark.parametrize("event,error", [
@@ -990,6 +1007,40 @@ def test_flits_are_conserved_after_every_cycle(case):
     assert any(queued_at_source) and not all(queued_at_source)
     if case == "first_leg_drops":
         assert len(first_leg_drops) == 11
+
+
+def test_conservation_audit_names_the_expected_and_found_counts():
+    """A live flit hidden mid-run (popped from its slot's queue) fails the
+    audit, whose message gives the packets in flight, the flits they need
+    and the flits found."""
+    sim = engine.Simulation(quiet_config(
+        topo.mesh(4, 4),
+        traffic=workload.TrafficSpec(injection_rate=0.2, packet_length=4, seed=1),
+    ))
+    send_phase = sim._send_phase
+
+    class Hidden(Exception):
+        pass
+
+    def hiding_send_phase(now):
+        progress = send_phase(now)
+        slot = next((s for s in sim.occupied if s.queue), None)
+        if slot is None or slot.queue[-1].packet.dropped:
+            return progress
+        in_flight, need = sim._in_flight(), sim._check_conservation()
+        slot.queue.pop()
+        with pytest.raises(AssertionError) as err:
+            sim._check_conservation()
+        assert str(err.value) == (
+            f"flit conservation violated: {in_flight} packets in flight "
+            f"need {need} flits, found {need - 1}"
+        )
+        assert need == in_flight * 4 > 0
+        raise Hidden
+
+    sim._send_phase = hiding_send_phase
+    with pytest.raises(Hidden):
+        sim.run()
 
 
 def test_radio_adds_one_hop_to_the_reinjected_flits():

@@ -346,3 +346,7 @@ def test_admission_rule():
     assert delivered == [second] and second.dst == 25 and ws.reserved[10] == 0
     ws.admit(full)
     assert full.wireless and full.dst == 10 and ws.reserved[10] == 1
+
+
+def test_packet_repr_names_its_id_ends_and_length():
+    assert repr(fabric.Packet(7, 3, 12, 4, 0)) == "Packet(7, 3->12, len=4)"

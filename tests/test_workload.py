@@ -77,7 +77,8 @@ def draw_windows(draw):
 @settings(max_examples=40, deadline=None)
 def test_block_draw_equals_the_scalar_stream(seed, window, rate, packet_length):
     nodes, start, stop = window
-    draws = workload.draw0_block(workload.draw0_keys(seed, nodes), start, stop)
+    keys = workload.draw0_keys(seed, nodes)
+    draws = workload.draw0_block(keys, start, stop)
     assert draws.dtype == np.uint64 and draws.shape == (stop - start, nodes)
     assert [[int(u) for u in row] for row in draws] == [
         [workload.stream_u64(seed, node, cycle, 0) for node in range(nodes)]
@@ -92,6 +93,12 @@ def test_block_draw_equals_the_scalar_stream(seed, window, rate, packet_length):
     ]
     if prob == 1.0:
         assert hits.all()
+    if k >= 0:  # the engine's hit test: (row, node) of every hit, row-major
+        rows, hit_nodes = workload.draw0_hits(keys, start, stop, k)
+        assert list(zip(rows, hit_nodes)) == [
+            (row, node) for row, cells in enumerate(hits.tolist())
+            for node, hit in enumerate(cells) if hit
+        ]
 
 
 @given(

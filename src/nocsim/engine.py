@@ -95,8 +95,10 @@ of the network:
   window and the drain. An idle radio passes the token once per cycle, so
   the jump advances it by the skipped cycle count mod the number of hubs.
 
-The radio's state, each node's hub and the admission rule with its
-per-hub reservations included, lives in ``fabric.WirelessHubState`` alone.
+The run's current fault view is ``ctx.view`` alone, replaced by
+``_apply_faults``. The radio's state, each node's hub and the admission
+rule with its per-hub reservations included, lives in
+``fabric.WirelessHubState`` alone.
 
 This module imports no numpy, and ``hit_max`` is a plain int: ``workload``
 alone loads numpy, when ``Simulation.__init__`` calls
@@ -315,10 +317,9 @@ class Simulation:
         ]
 
         self.schedule = config.fault_schedule
-        self.view = topo.TopologyView(self.topo)
         self.algo = routing.ALGORITHMS[config.algorithm]
         self.ctx = routing_context(
-            self.algo, self.view, self.vc_count, config.anchor_count, config.center_count
+            self.algo, self.topo, self.vc_count, config.anchor_count, config.center_count
         )
         self.next_hops = routing.relation(self.algo, self.ctx)
         # over routers, not self: a cycle through self keeps finished sweep runs alive
@@ -333,8 +334,7 @@ class Simulation:
             )
 
         # counters
-        self.next_pid = 0
-        self.injected_packets = 0
+        self.injected_packets = 0  # also the next packet's id
         self.delivered_packets = 0
         self.dropped_packets = 0
         self.measured_latencies = Counter()  # latency -> measured packets
@@ -422,16 +422,16 @@ class Simulation:
     # -- phases --------------------------------------------------------
 
     def _apply_faults(self, now):
-        """Switch to the view of cycle ``now`` and drop every packet the
-        change cuts: all that a failed router holds, waiting packets
-        included, every flit on a failed link (the view's failed links
-        include every link of a failed node), and every worm bound to a VC
-        whose input link failed before its tail arrived, even while that
-        VC's queue is empty. True when this drops a packet."""
-        self.view = topo.TopologyView(self.topo, *workload.faults_at(self.schedule, now))
-        self.ctx.set_view(self.view)
-        links = self.view.failed_links
-        cut = [p for u in self.view.failed_nodes for p, _ in self.routers[u].holdings()]
+        """Make the view of cycle ``now`` the run's current one, ``ctx.view``,
+        and drop every packet the change cuts: all that a failed router
+        holds, waiting packets included, every flit on a failed link (the
+        view's failed links include every link of a failed node), and every
+        worm bound to a VC whose input link failed before its tail arrived,
+        even while that VC's queue is empty. True when this drops a packet."""
+        view = topo.TopologyView(self.topo, *workload.faults_at(self.schedule, now))
+        self.ctx.set_view(view)
+        links = view.failed_links
+        cut = [p for u in view.failed_nodes for p, _ in self.routers[u].holdings()]
         cut += [f.packet for slot, f in self.pending if (slot.came_from, slot.node) in links]
         for up, node in links:
             for vc in self.down_slot[up][self.topo.port_of[up][node]]:
@@ -531,9 +531,10 @@ class Simulation:
         _, nodes = self.hits.popleft()
         spec = self.cfg.traffic
         progress = False
-        alive = self.view.has_node if (self.view.failed_nodes or self.view.failed_links) else None
+        view = self.ctx.view
+        alive = view.has_node if (view.failed_nodes or view.failed_links) else None
         for node in nodes:
-            if not self.view.has_node(node):
+            if not view.has_node(node):
                 continue
             dst = workload.inject(spec, self.topo, node, now, alive)
             if dst is None:
@@ -545,10 +546,10 @@ class Simulation:
         return progress
 
     def _inject_packet(self, src, dst, now):
-        packet = fabric.Packet(self.next_pid, src, dst, self.cfg.traffic.packet_length, now)
-        self.next_pid += 1
+        packet = fabric.Packet(self.injected_packets, src, dst,
+                               self.cfg.traffic.packet_length, now)
         self.injected_packets += 1
-        if not self.view.has_node(src):
+        if not self.ctx.view.has_node(src):
             # a preload at a failed source dies as if the fault had caught it
             self._drop_packet(packet)
             return
@@ -592,7 +593,7 @@ class Simulation:
         # fabric module (the benchmark's tracer) see every call
         ready = fabric.flit_ready
         accept = fabric.flow_control_accept
-        policy, pipeline, view = self.policy, self.pipeline, self.view
+        policy, pipeline, view = self.policy, self.pipeline, self.ctx.view
         failed = view.failed_nodes
         routers, occupied, fresh = self.routers, self.occupied, self.fresh
         if fresh:
@@ -691,7 +692,7 @@ class Simulation:
             down = self.down_slot[u][out_port][vc]
         else:
             _, out_port, down = cached
-        view = self.view
+        view = self.ctx.view
         if view.failed_links and not view.has_link(u, down.node):
             # no live link, or the committed one died under the packet
             self._drop_packet(packet)

@@ -1,8 +1,9 @@
 """NoC interconnect graphs: generators, scoring, fault views, and synthesis.
 
-Node ids are 0..N-1. Meshes and tori are row-major (id = y*width + x).
-Every link is full-duplex and modeled as two directed links; the port index
-of a directed link is its position in the source node's neighbor list.
+Node ids are 0..N-1. Meshes and tori are row-major (id = y*width + x), their
+ports in +x, -x, +y, -y order from one grid walk (``_grid``). Every link is
+full-duplex and modeled as two directed links; the port index of a directed
+link is its position in the source node's neighbor list.
 """
 
 from __future__ import annotations
@@ -78,15 +79,6 @@ class Topology:
     def has_link(self, u, v):
         return v in self.port_of[u]
 
-    @property
-    def links(self):
-        """Set of directed links as (src, dst, port-at-src)."""
-        return {
-            (u, v, p)
-            for u, nbrs in enumerate(self.adjacency)
-            for p, v in enumerate(nbrs)
-        }
-
     def undirected_edges(self):
         return sorted(
             {(min(u, v), max(u, v)) for u, nbrs in enumerate(self.adjacency) for v in nbrs}
@@ -137,43 +129,35 @@ class TopologyScore:
 # Generators
 # --------------------------------------------------------------------------
 
-def mesh(width, height):
-    if width < 1 or height < 1:
-        raise InvalidParams("mesh dimensions must be positive")
+def _grid(width, height, wrap):
+    """Row-major grid adjacency, ports in +x, -x, +y, -y order; ``wrap`` closes
+    each row and column into a ring, a side of 2 folding into one link."""
     adj = []
     for y in range(height):
         for x in range(width):
             nbrs = []
-            if x + 1 < width:
-                nbrs.append(y * width + x + 1)
-            if x > 0:
-                nbrs.append(y * width + x - 1)
-            if y + 1 < height:
-                nbrs.append((y + 1) * width + x)
-            if y > 0:
-                nbrs.append((y - 1) * width + x)
+            for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+                if wrap:
+                    nx, ny = nx % width, ny % height
+                elif not (0 <= nx < width and 0 <= ny < height):
+                    continue
+                node = ny * width + nx
+                if node not in nbrs:
+                    nbrs.append(node)
             adj.append(nbrs)
-    return Topology(adj, MESH, {"width": width, "height": height})
+    return adj
+
+
+def mesh(width, height):
+    if width < 1 or height < 1:
+        raise InvalidParams("mesh dimensions must be positive")
+    return Topology(_grid(width, height, False), MESH, {"width": width, "height": height})
 
 
 def torus(width, height):
     if width < 2 or height < 2:
         raise InvalidParams("torus dimensions must be at least 2")
-    adj = []
-    for y in range(height):
-        for x in range(width):
-            nbrs = []
-            for nx, ny in (
-                ((x + 1) % width, y),
-                ((x - 1) % width, y),
-                (x, (y + 1) % height),
-                (x, (y - 1) % height),
-            ):
-                node = ny * width + nx
-                if node not in nbrs:  # width/height == 2 folds both directions
-                    nbrs.append(node)
-            adj.append(nbrs)
-    return Topology(adj, TORUS, {"width": width, "height": height})
+    return Topology(_grid(width, height, True), TORUS, {"width": width, "height": height})
 
 
 def circulant(n, generators):
@@ -395,8 +379,6 @@ def from_edge_list_text(text, kind=CUSTOM):
 
 def _moore_bound(max_degree, max_diameter):
     """Maximum node count reachable with the given degree/diameter caps."""
-    if max_degree <= 0:
-        return 1
     total = 1
     layer = max_degree
     for _ in range(max_diameter):
@@ -413,21 +395,19 @@ def _edge_adjacency(n, edges):
     return adj
 
 
-def _edges_feasible(n, edges, max_degree, max_diameter):
-    """Check degree, connectivity, and diameter for an undirected edge set."""
+def _avg_if_feasible(n, edges, max_degree, max_diameter):
+    """Average distance over ordered pairs of an undirected edge set, or None
+    when it breaks the degree cap, is disconnected or exceeds the diameter."""
     adj = _edge_adjacency(n, edges)
     if any(len(nbrs) > max_degree for nbrs in adj):
-        return False
+        return None
+    total = 0
     for s in range(n):
         dist = bfs(adj, s)
         if -1 in dist or max(dist) > max_diameter:
-            return False
-    return True
-
-
-def _avg_distance(n, edges):
-    adj = _edge_adjacency(n, edges)
-    return sum(sum(bfs(adj, s)) for s in range(n)) / (n * (n - 1))
+            return None
+        total += sum(dist)
+    return total / (n * (n - 1))
 
 
 def exhaustive_optimum(n, max_degree, max_diameter):
@@ -444,10 +424,9 @@ def exhaustive_optimum(n, max_degree, max_diameter):
     for m in range(lo, hi + 1):
         best = None
         for edges in itertools.combinations(all_edges, m):
-            if _edges_feasible(n, edges, max_degree, max_diameter):
-                avg = _avg_distance(n, edges)
-                if best is None or avg < best[1]:
-                    best = (edges, avg)
+            avg = _avg_if_feasible(n, edges, max_degree, max_diameter)
+            if avg is not None and (best is None or avg < best[1]):
+                best = (edges, avg)
         if best is not None:
             return best
     return None
@@ -466,7 +445,7 @@ def _local_minimize(n, edges, max_degree, max_diameter, rng):
         rng.shuffle(order)
         for i in sorted(order, reverse=True):
             trial = edges[:i] + edges[i + 1:]
-            if trial and _edges_feasible(n, trial, max_degree, max_diameter):
+            if trial and _avg_if_feasible(n, trial, max_degree, max_diameter) is not None:
                 edges = trial
                 improved = True
                 break
@@ -509,11 +488,11 @@ def synthesize(n, max_degree, max_diameter, seed=0, budget=200):
                 edges.append((u, v))
                 deg[u] += 1
                 deg[v] += 1
-        if not _edges_feasible(n, edges, max_degree, max_diameter):
+        if _avg_if_feasible(n, edges, max_degree, max_diameter) is None:
             continue
         found_feasible = True
         edges = _local_minimize(n, edges, max_degree, max_diameter, rng)
-        key = (len(edges), _avg_distance(n, edges))
+        key = (len(edges), _avg_if_feasible(n, edges, max_degree, max_diameter))
         if best is None or key < (best[0], best[1]):
             best = (key[0], key[1], sorted(edges))
 

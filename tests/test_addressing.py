@@ -164,6 +164,9 @@ def test_hierarchical_validation():
         addressing.assign_hierarchical_addresses(t, ())
     with pytest.raises(DuplicateAnchor):
         addressing.assign_hierarchical_addresses(t, (1, 1))
+    disconnected = topo.Topology([[1], [0], [3], [2]])
+    with pytest.raises(Disconnected, match="node 2 unreachable from center 0"):
+        addressing.assign_hierarchical_addresses(disconnected, (0,))
 
 
 def test_assignments_deterministic():

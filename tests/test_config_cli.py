@@ -68,6 +68,8 @@ def test_parse_syntax_and_duplicates():
         cfgmod.parse_kv_text("just some words")
     with pytest.raises(ConfigSyntaxError):
         cfgmod.parse_kv_text("topology.kind = mesh\ntopology.kind = torus")
+    with pytest.raises(ConfigSyntaxError, match="empty key"):
+        cfgmod.parse_kv_text("= 3")
 
 
 # -- full experiment configs -------------------------------------------------
@@ -488,11 +490,23 @@ def test_cli_synth_and_score(tmp_path, capsys):
     assert rc == 0
     assert "diameter=2" in out
 
+    # without --out the same edge list goes to stdout
+    assert cli.main(["synth", "--n", "6", "--max-degree", "3", "--max-diameter", "2"]) == 0
+    with open(path, encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+
     rc = cli.main([
         "synth", "--n", "10", "--max-degree", "2", "--max-diameter", "2",
     ])
     out = capsys.readouterr().out
     assert rc == 0 and out.startswith("infeasible:")
+
+
+def test_cli_score_needs_a_topology_or_a_config(capsys):
+    assert cli.main(["score"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need --topology or --config\n"
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])

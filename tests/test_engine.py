@@ -210,6 +210,16 @@ def test_config_rejects_destinations_outside_the_topology(t, kw):
         engine.Simulation(cfg)
 
 
+def test_config_names_the_permutation_table_it_needs():
+    cfg = quiet_config(topo.mesh(4, 4), traffic=workload.TrafficSpec(
+        injection_rate=0.1, packet_length=4,
+        pattern=workload.PERMUTATION, permutation=(1, 2, 3),
+    ))
+    with pytest.raises(ConfigError) as exc:
+        engine.Simulation(cfg)
+    assert str(exc.value) == "permutation table needs 16 destinations in 0..15"
+
+
 @pytest.mark.parametrize("t,kw", [
     (topo.mesh(4, 4), dict(pattern=workload.HOTSPOT, hotspot_node=15)),
     (topo.mesh(4, 4), dict(pattern=workload.PERMUTATION, permutation=tuple(range(15, -1, -1)))),
@@ -816,7 +826,7 @@ def test_active_set_matches_a_full_walk_after_every_cycle(case):
 
     def checked_send_phase(now):
         seen["bound_only"] += sum(
-            sim.view.has_node(u)
+            sim.ctx.view.has_node(u)
             and not any(s.queue for s in sim.routers[u].slots)
             for u in occupied_routers(sim)
         )
@@ -973,7 +983,7 @@ def test_flits_are_conserved_after_every_cycle(case):
     def audited_send_phase(now):
         progress = send_phase(now)
         sim._check_conservation()
-        for u in sim.view.failed_nodes:
+        for u in sim.ctx.view.failed_nodes:
             assert all(p.dropped for p, _ in sim.routers[u].holdings()), (now, u)
         live = {p for r in sim.routers for p, _ in r.holdings()}
         live.update(f.packet for *_, f in sim.pending)
@@ -1308,7 +1318,7 @@ def test_route_tables_give_the_smallest_neighborhood_route(case):
     t, schedule, cycle = case
     sim = engine.Simulation(quiet_config(t, algorithm="neighborhood", fault_schedule=schedule))
     sim._apply_faults(cycle)
-    view = sim.view
+    view = sim.ctx.view
     for dst in range(t.node_count):
         # faults fail both directions, so distances from dst are distances to it
         assert view.bfs_distances(dst) == reverse_bfs(view, dst)

@@ -526,7 +526,7 @@ def test_successor_routes_are_the_smallest_shortest_routes_under_one_way_faults(
     distances to the root, also where a link has failed one way only."""
     rng = random.Random(7)
     for t in (topo.ring(6), topo.mesh(4, 3), topo.torus(3, 3)):
-        links = sorted((u, v) for u, v, _ in t.links)
+        links = sorted((u, v) for u, nbrs in enumerate(t.adjacency) for v in nbrs)
         for _ in range(8):
             view = topo.TopologyView(
                 t, failed_nodes=rng.sample(range(t.node_count), rng.randint(0, 1)),
@@ -651,8 +651,22 @@ def test_dyxy_options_are_minimal_adaptive_in_x_first_order():
 def test_cdg_nodes_cover_all_directed_links():
     t = topo.mesh(3, 3)
     cdg = routing.build_cdg(t, routing.xy_relation(t))
-    expected = {(u, v, 0) for u, v, _ in t.links}
+    expected = {(u, v, 0) for u, nbrs in enumerate(t.adjacency) for v in nbrs}
     assert set(cdg.nodes) == expected
+
+
+def test_cdg_keeps_channels_outside_the_topology():
+    """A relation that names a channel the topology lacks, a link 0->2 or
+    2->0 on the path 0-1-2 or VC 1 with one VC, still gets that channel as
+    a node, so the check judges the relation as written."""
+    t = topo.mesh(3, 1)
+
+    def relation(node, dst, in_vc, came_from, route):
+        return [(dst, 1, None)] if node == 0 else [(dst, 0, None)]
+
+    cdg = routing.build_cdg(t, relation)
+    links = {(u, v, 0) for u, nbrs in enumerate(t.adjacency) for v in nbrs}
+    assert set(cdg.nodes) == links | {(0, 1, 1), (0, 2, 1), (2, 0, 0)}
 
 
 def networkx_cdg(t, relation, vc_count):

@@ -87,6 +87,8 @@ def test_circulant_structure():
     assert t.kind == topo.CIRCULANT
     assert all(t.degree(u) == 4 for u in range(8))
     assert sorted(t.neighbors(0)) == [1, 3, 5, 7]
+    with pytest.raises(InvalidParams, match="circulant topology has no grid shape"):
+        t.grid_shape()
 
 
 def test_circulant_half_n_generator_folds():
@@ -103,6 +105,17 @@ def test_circulant_rejects_bad_generators():
         topo.circulant(8, (1, 1))
     with pytest.raises(InvalidParams):
         topo.circulant(8, ())
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: topo.mesh(0, 3), "mesh dimensions must be positive"),
+    (lambda: topo.torus(1, 4), "torus dimensions must be at least 2"),
+    (lambda: topo.circulant(1, (1,)), "circulant needs at least 2 nodes"),
+    (lambda: topo.flattened_butterfly(0, 2), "flattened butterfly parameters must be"),
+])
+def test_generators_reject_too_small_sizes(make, message):
+    with pytest.raises(InvalidParams, match=message):
+        make()
 
 
 def test_ring_is_circulant_one():
@@ -183,6 +196,8 @@ def test_view_bfs_and_connectivity():
     assert not v.is_connected()
     assert v.bfs_distances(4)[0] == -1
     assert topo.TopologyView(t).is_connected()
+    # no alive node is left unreached
+    assert topo.TopologyView(t, failed_nodes=range(9)).is_connected()
 
 
 def test_view_rejects_unknown_elements():
@@ -223,7 +238,7 @@ def test_shortest_successors_take_the_lowest_id_closer_neighbour(kind, data):
     none."""
     t = data.draw(FAULTED_FAMILIES[kind])
     n = t.node_count
-    links = sorted((u, v) for u, v, _ in t.links)
+    links = sorted((u, v) for u, nbrs in enumerate(t.adjacency) for v in nbrs)
     view = topo.TopologyView(
         t,
         failed_nodes=data.draw(st.sets(st.integers(0, n - 1), max_size=2)),
@@ -334,6 +349,20 @@ def test_synthesize_infeasible_certified():
         topo.synthesize(7, 2, 2, seed=0)   # bound passes, exhaustive check fails
 
 
+def test_synthesize_reports_infeasible_when_no_restart_succeeds(monkeypatch):
+    """After restarts that find no feasible graph, n <= 8 trusts the
+    exhaustive verdict and n > 8 gives up; each says which it was. One
+    restart with seed 1 misses the 5-cycle, so a stubbed exhaustive search
+    that finds nothing stands for a certified infeasible case; n = 10 at
+    degree 3 and diameter 2 meets the Moore bound, but only the Petersen
+    graph does, and one random restart does not find it."""
+    monkeypatch.setattr(topo, "exhaustive_optimum", lambda *args: None)
+    with pytest.raises(Infeasible, match=r"no graph on 5 nodes .* \(exhaustive check\)"):
+        topo.synthesize(5, 2, 2, seed=1, budget=1)
+    with pytest.raises(Infeasible, match="no feasible graph found within budget 1"):
+        topo.synthesize(10, 3, 2, seed=0, budget=1)
+
+
 def test_synthesize_rejects_bad_params():
     with pytest.raises(InvalidParams):
         topo.synthesize(3, 2, 2)
@@ -341,6 +370,8 @@ def test_synthesize_rejects_bad_params():
         topo.synthesize(13, 3, 3)
     with pytest.raises(InvalidParams):
         topo.synthesize(6, 1, 2)
+    with pytest.raises(InvalidParams, match="max_diameter must be >= 1"):
+        topo.synthesize(6, 3, 0)
     for budget in (0, -5):  # no restart at all, not one
         with pytest.raises(InvalidParams, match="budget must be >= 1"):
             topo.synthesize(6, 3, 2, budget=budget)
